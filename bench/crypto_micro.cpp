@@ -48,6 +48,18 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256);
 
+// One STS beacon tag with the peer's cached key schedule: auth bytes of a
+// beacon listing 10 neighbours (32-byte header + 4 bytes per neighbour).
+// 3 compressions per tag, against 5 for hmac_sha256 from the raw key.
+void BM_HmacKeyMac(benchmark::State& state) {
+  const HmacKey key{Digest{}};
+  const std::vector<std::uint8_t> msg(32 + 4 * 10, 0x5A);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.mac(std::span<const std::uint8_t>{msg}));
+  }
+}
+BENCHMARK(BM_HmacKeyMac);
+
 void BM_RsaSign(benchmark::State& state) {
   std::mt19937_64 eng{7};
   const RsaKeyPair key = rsa_generate(static_cast<int>(state.range(0)), [&] { return eng(); });

@@ -15,9 +15,11 @@
 // All engines promise the same simulation, so the bench doubles as a
 // correctness gate: any mismatch in events executed, frames sent, packets
 // delivered, or MAC collisions between engines of the same (N, run) exits
-// nonzero. CI's perf-smoke job runs exactly that gate at N=100 (it is
-// correctness-gated, not time-gated: shared runners make wall-clock
-// thresholds flaky).
+// nonzero, and so does a serial grid baseline that executed no events or
+// delivered no packets at some N (nothing was compared: raise
+// ICC_SCALE_TIME past the traffic start). CI's perf-smoke job runs exactly
+// that gate at N=100 (it is correctness-gated, not time-gated: shared
+// runners make wall-clock thresholds flaky).
 //
 // Environment knobs: ICC_SCALE_NODES (comma list, default 100,1000,10000),
 // ICC_SCALE_TIME (default 20 s), ICC_SCALE_RUNS (default 1),
@@ -73,7 +75,7 @@ int main() {
   const int runs = icc::exp::env_int("ICC_SCALE_RUNS", 1);
   const int brute_max = icc::exp::env_int("ICC_SCALE_BRUTE_MAX", 1000);
   const std::vector<int> thread_counts =
-      parse_int_list(icc::exp::env_string("ICC_SCALE_THREADS", "1,2,4,8"));
+      parse_int_list(icc::exp::env_string_if_set("ICC_SCALE_THREADS", "1,2,4,8"));
   if (node_counts.empty()) {
     std::fprintf(stderr, "ICC_SCALE_NODES parsed to an empty list\n");
     return 1;
@@ -162,6 +164,18 @@ int main() {
                              "mac_collisions"};
   for (std::size_t ni = 0; ni < node_counts.size(); ++ni) {
     const std::size_t base_cell = campaign.grid.cell_index({ni, 0});  // grid engine
+    // Agreement on an empty simulation proves nothing: every run of the
+    // baseline must have executed events and delivered packets.
+    for (const char* metric : {"events_executed", "packets_received"}) {
+      const auto& base = result.series(base_cell, metric);
+      if (base.count == 0 || !(base.min > 0.0)) {
+        std::fprintf(stderr,
+                     "VACUOUS at N=%d: the serial grid baseline has %s=0 — nothing "
+                     "simulated to compare (raise ICC_SCALE_TIME)\n",
+                     node_counts[ni], metric);
+        consistent = false;
+      }
+    }
     for (std::size_t ei = 1; ei < engines.size(); ++ei) {
       const std::size_t cell = campaign.grid.cell_index({ni, ei});
       if (result.series(cell, "events_executed").count == 0) continue;  // skipped

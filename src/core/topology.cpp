@@ -110,7 +110,7 @@ void SecureTopologyService::send_beacon() {
                                           beacon->neighbors);
   beacon->tags.reserve(beacon->neighbors.size());
   for (const sim::NodeId id : beacon->neighbors) {
-    beacon->tags.push_back(crypto::hmac_sha256(peers_.at(id).key, std::span{auth}));
+    beacon->tags.push_back(peers_.at(id).mac_key.mac(std::span{auth}));
   }
 
   sim::Packet packet;
@@ -156,7 +156,7 @@ void SecureTopologyService::handle_beacon(const StsBeacon& beacon, sim::NodeId /
   for (std::size_t i = 0; i < beacon.neighbors.size() && i < beacon.tags.size(); ++i) {
     if (beacon.neighbors[i] == node_.id()) {
       verified = crypto::digest_equal(beacon.tags[i],
-                                      crypto::hmac_sha256(peer.key, std::span{auth}));
+                                      peer.mac_key.mac(std::span{auth}));
       break;
     }
   }
@@ -234,6 +234,7 @@ void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
       send_nsl(from, 3, *msg3);
       peer.authenticated = true;
       peer.key = peer.handshake->session_key();
+      peer.mac_key = crypto::HmacKey{peer.key};
       peer.last_heard = t;  // the handshake itself is authenticated contact
       peer.handshake.reset();
       node_.stats().add("sts.handshakes_completed");
@@ -246,6 +247,7 @@ void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
       if (!peer.handshake->on_message3(msg.ct, cipher_)) return;
       peer.authenticated = true;
       peer.key = peer.handshake->session_key();
+      peer.mac_key = crypto::HmacKey{peer.key};
       peer.last_heard = t;
       peer.handshake.reset();
       node_.stats().add("sts.handshakes_completed");

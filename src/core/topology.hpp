@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/messages.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/ns_lowe.hpp"
 #include "net/host.hpp"
 #include "sim/rng.hpp"
@@ -68,6 +69,7 @@ class SecureTopologyService {
   struct PeerState {
     bool authenticated{false};
     crypto::SessionKey key{};
+    crypto::HmacKey mac_key{key};  ///< `key`'s HMAC schedule, set with it
     sim::Time last_heard{-1e18};  ///< last authenticated contact
     sim::Vec2 pos;
     bool pos_known{false};

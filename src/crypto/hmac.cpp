@@ -5,7 +5,7 @@
 
 namespace icc::crypto {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg) {
+HmacKey::HmacKey(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > 64) {
     const Digest kd = Sha256::hash(key);
@@ -14,31 +14,37 @@ Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8
     std::memcpy(block.data(), key.data(), key.size());
   }
 
-  std::array<std::uint8_t, 64> ipad{};
-  std::array<std::uint8_t, 64> opad{};
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(block[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(block[i] ^ 0x5c);
-  }
-
+  for (std::uint8_t& b : block) b ^= 0x36;
   Sha256 inner;
-  inner.update(std::span<const std::uint8_t>{ipad});
+  inner.update(std::span<const std::uint8_t>{block});
+  inner_ = inner.state();
+
+  for (std::uint8_t& b : block) b ^= 0x36 ^ 0x5c;  // K⊕ipad -> K⊕opad
+  Sha256 outer;
+  outer.update(std::span<const std::uint8_t>{block});
+  outer_ = outer.state();
+}
+
+Digest HmacKey::mac(std::span<const std::uint8_t> msg) const {
+  Sha256 inner{inner_, 1};
   inner.update(msg);
   const Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>{opad});
+  Sha256 outer{outer_, 1};
   outer.update(std::span<const std::uint8_t>{inner_digest});
   return outer.finish();
 }
 
+Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg) {
+  return HmacKey{key}.mac(msg);
+}
+
 Digest hmac_sha256(const Digest& key, std::string_view msg) {
-  return hmac_sha256(std::span<const std::uint8_t>{key},
-                     std::span{reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size()});
+  return HmacKey{key}.mac(msg);
 }
 
 Digest hmac_sha256(const Digest& key, std::span<const std::uint8_t> msg) {
-  return hmac_sha256(std::span<const std::uint8_t>{key}, msg);
+  return HmacKey{key}.mac(msg);
 }
 
 bool digest_equal(const Digest& a, const Digest& b) noexcept {

@@ -10,6 +10,26 @@
 
 namespace icc::crypto {
 
+/// A key's HMAC-SHA256 schedule: the SHA-256 chaining states after the
+/// K⊕ipad and K⊕opad blocks. Both depend on the key alone, so a key used for
+/// many messages compresses its pads once here, and each mac() costs only
+/// the message's own blocks plus the outer block — 3 compressions instead
+/// of 5 for a beacon-sized message.
+class HmacKey {
+ public:
+  explicit HmacKey(std::span<const std::uint8_t> key);
+  explicit HmacKey(const Digest& key) : HmacKey{std::span<const std::uint8_t>{key}} {}
+
+  [[nodiscard]] Digest mac(std::span<const std::uint8_t> msg) const;
+  [[nodiscard]] Digest mac(std::string_view msg) const {
+    return mac(std::span{reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size()});
+  }
+
+ private:
+  Sha256::State inner_{};
+  Sha256::State outer_{};
+};
+
 /// HMAC-SHA256 of `msg` under `key`.
 Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg);
 

@@ -13,18 +13,18 @@ Digest u64_key(std::uint64_t v) {
   return Sha256::hash(std::span<const std::uint8_t>{bytes});
 }
 
-Digest tag_for(const Digest& key, int level, std::span<const std::uint8_t> msg) {
+Digest tag_for(const HmacKey& key, int level, std::span<const std::uint8_t> msg) {
   // Domain-separate the level so a level-1 tag never verifies at level 2.
   std::vector<std::uint8_t> buf;
   buf.reserve(msg.size() + 4);
   for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(level >> (8 * i)));
   buf.insert(buf.end(), msg.begin(), msg.end());
-  return hmac_sha256(key, std::span<const std::uint8_t>{buf});
+  return key.mac(std::span<const std::uint8_t>{buf});
 }
 
 class ModelSigner final : public ThresholdSigner {
  public:
-  ModelSigner(std::uint32_t id, int max_level, std::vector<Digest> shares,
+  ModelSigner(std::uint32_t id, int max_level, std::vector<HmacKey> shares,
               std::size_t sig_bytes)
       : id_{id}, max_level_{max_level}, shares_{std::move(shares)}, sig_bytes_{sig_bytes} {}
 
@@ -45,29 +45,39 @@ class ModelSigner final : public ThresholdSigner {
  private:
   std::uint32_t id_;
   int max_level_;
-  std::vector<Digest> shares_;  ///< one share per level, index level-1
+  std::vector<HmacKey> shares_;  ///< one share per level, index level-1
   std::size_t sig_bytes_;
 };
 
 }  // namespace
 
 ModelThresholdScheme::ModelThresholdScheme(std::uint64_t seed, int max_level, int key_bits)
-    : seed_key_{u64_key(seed)},
-      max_level_{max_level},
-      sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {}
-
-Digest ModelThresholdScheme::master_key(int level) const {
-  return hmac_sha256(seed_key_, "K_L:" + std::to_string(level));
+    : max_level_{max_level}, sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {
+  const HmacKey seed_key{u64_key(seed)};
+  for (int level = 1; level <= max_level_; ++level) {
+    master_keys_.emplace_back(seed_key.mac("K_L:" + std::to_string(level)));
+  }
 }
 
-Digest ModelThresholdScheme::share_key(int level, std::uint32_t id) const {
-  return hmac_sha256(master_key(level), "share:" + std::to_string(id));
+const HmacKey& ModelThresholdScheme::master_key(int level) const {
+  return master_keys_[static_cast<std::size_t>(level - 1)];
+}
+
+HmacKey ModelThresholdScheme::derive_share_key(int level, std::uint32_t id) const {
+  return HmacKey{master_key(level).mac("share:" + std::to_string(id))};
+}
+
+HmacKey ModelThresholdScheme::share_key(int level, std::uint32_t id) const {
+  const auto it = share_keys_.find(id);
+  if (it == share_keys_.end()) return derive_share_key(level, id);
+  return it->second[static_cast<std::size_t>(level - 1)];
 }
 
 std::unique_ptr<ThresholdSigner> ModelThresholdScheme::issue_signer(std::uint32_t id) {
-  std::vector<Digest> shares;
-  shares.reserve(static_cast<std::size_t>(max_level_));
-  for (int level = 1; level <= max_level_; ++level) shares.push_back(share_key(level, id));
+  std::vector<HmacKey> shares;
+  shares.reserve(master_keys_.size());
+  for (int level = 1; level <= max_level_; ++level) shares.push_back(derive_share_key(level, id));
+  share_keys_.insert_or_assign(id, shares);
   return std::make_unique<ModelSigner>(id, max_level_, std::move(shares), sig_bytes_);
 }
 

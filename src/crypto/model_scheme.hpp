@@ -8,12 +8,21 @@
 // so the protocol-visible guarantees match real threshold RSA — forging a
 // level-L signature requires L+1 distinct compromised signers.
 //
+// The dealer's keys are derived at set-up — the masters in the constructor,
+// each signer's shares in issue_signer — and kept as HMAC key schedules, so
+// a verify is one lookup plus one tag. Only those two write the key tables,
+// so the const operations only read them and are safe to call from
+// parallel workers; a share for an id that was never issued is derived on
+// the fly, with the same result.
+//
 // Reported on-air sizes follow the configured RSA key length so that
 // bandwidth and energy accounting match a real deployment (paper uses
 // 1024-bit keys for AODV, 512-bit for the sensor study).
 #pragma once
 
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "crypto/hmac.hpp"
 #include "crypto/scheme.hpp"
@@ -38,13 +47,16 @@ class ModelThresholdScheme final : public ThresholdScheme {
   [[nodiscard]] std::size_t signature_bytes() const override { return sig_bytes_; }
 
  private:
-  friend class ModelSigner;
-  [[nodiscard]] Digest master_key(int level) const;
-  [[nodiscard]] Digest share_key(int level, std::uint32_t id) const;
+  [[nodiscard]] const HmacKey& master_key(int level) const;
+  /// Schedule of S_{L,id}: from the issued table, else derived.
+  [[nodiscard]] HmacKey share_key(int level, std::uint32_t id) const;
+  [[nodiscard]] HmacKey derive_share_key(int level, std::uint32_t id) const;
 
-  Digest seed_key_{};
   int max_level_;
   std::size_t sig_bytes_;
+  std::vector<HmacKey> master_keys_;  ///< K_L, index level-1
+  /// Issued signers' shares S_{L,id}, index level-1; set-up only.
+  std::unordered_map<std::uint32_t, std::vector<HmacKey>> share_keys_;
 };
 
 }  // namespace icc::crypto

@@ -9,12 +9,12 @@ namespace {
 
 class ModelNodeSigner final : public NodeSigner {
  public:
-  ModelNodeSigner(std::uint32_t id, Digest key, std::size_t sig_bytes)
+  ModelNodeSigner(std::uint32_t id, const HmacKey& key, std::size_t sig_bytes)
       : id_{id}, key_{key}, sig_bytes_{sig_bytes} {}
   [[nodiscard]] std::uint32_t id() const override { return id_; }
   [[nodiscard]] std::vector<std::uint8_t> sign(
       std::span<const std::uint8_t> msg) const override {
-    const Digest tag = hmac_sha256(key_, msg);
+    const Digest tag = key_.mac(msg);
     std::vector<std::uint8_t> out(tag.begin(), tag.end());
     out.resize(sig_bytes_, 0);
     return out;
@@ -22,7 +22,7 @@ class ModelNodeSigner final : public NodeSigner {
 
  private:
   std::uint32_t id_;
-  Digest key_;
+  HmacKey key_;
   std::size_t sig_bytes_;
 };
 
@@ -40,27 +40,33 @@ class RsaNodeSigner final : public NodeSigner {
   const RsaKeyPair& key_;
 };
 
+Digest seed_digest(std::uint64_t seed) {
+  std::array<std::uint8_t, 8> bytes{};
+  for (int i = 0; i < 8; ++i) bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(seed >> (8 * i));
+  return Sha256::hash(std::span<const std::uint8_t>{bytes});
+}
+
 }  // namespace
 
 ModelPki::ModelPki(std::uint64_t seed, int key_bits)
-    : sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {
-  std::array<std::uint8_t, 8> bytes{};
-  for (int i = 0; i < 8; ++i) bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(seed >> (8 * i));
-  seed_key_ = Sha256::hash(std::span<const std::uint8_t>{bytes});
-}
+    : seed_key_{seed_digest(seed)}, sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {}
 
-Digest ModelPki::node_key(std::uint32_t id) const {
-  return hmac_sha256(seed_key_, "pki:" + std::to_string(id));
+HmacKey ModelPki::derive_node_key(std::uint32_t id) const {
+  return HmacKey{seed_key_.mac("pki:" + std::to_string(id))};
 }
 
 std::unique_ptr<NodeSigner> ModelPki::issue_signer(std::uint32_t id) {
-  return std::make_unique<ModelNodeSigner>(id, node_key(id), sig_bytes_);
+  const HmacKey key = derive_node_key(id);
+  node_keys_.insert_or_assign(id, key);
+  return std::make_unique<ModelNodeSigner>(id, key, sig_bytes_);
 }
 
 bool ModelPki::verify(std::uint32_t id, std::span<const std::uint8_t> msg,
                       std::span<const std::uint8_t> sig) const {
   if (sig.size() < 32) return false;
-  const Digest expected = hmac_sha256(node_key(id), msg);
+  const auto it = node_keys_.find(id);
+  const Digest expected =
+      it != node_keys_.end() ? it->second.mac(msg) : derive_node_key(id).mac(msg);
   Digest got{};
   std::memcpy(got.data(), sig.data(), got.size());
   return digest_equal(expected, got);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/hmac.hpp"
@@ -39,6 +40,9 @@ class Pki {
 };
 
 /// Simulation-grade PKI: per-node HMAC keys derived from a dealer seed.
+/// issue_signer keeps each issued node's key schedule, so verify is one
+/// lookup plus one tag; the table is written only at set-up (const verify
+/// never fills it), and an id that was never issued is derived on the fly.
 class ModelPki final : public Pki {
  public:
   /// `key_bits` only scales the modeled on-air signature size.
@@ -50,9 +54,10 @@ class ModelPki final : public Pki {
   [[nodiscard]] std::size_t signature_bytes() const override { return sig_bytes_; }
 
  private:
-  [[nodiscard]] Digest node_key(std::uint32_t id) const;
-  Digest seed_key_{};
+  [[nodiscard]] HmacKey derive_node_key(std::uint32_t id) const;
+  HmacKey seed_key_;
   std::size_t sig_bytes_;
+  std::unordered_map<std::uint32_t, HmacKey> node_keys_;  ///< issued ids; set-up only
 };
 
 /// Real RSA PKI over per-node keypairs.

@@ -95,16 +95,21 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 Digest Sha256::finish() {
+  // update() flushes full blocks, so at least one byte of the buffer is free
+  // for the 0x80 marker. The 8-byte length needs its own block when the
+  // marker lands past byte 55.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span{&pad_byte, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span{&zero, 1});
-  std::array<std::uint8_t, 8> len_bytes{};
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  update(std::span{len_bytes.data(), 8});
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
   Digest out{};
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);

@@ -15,7 +15,14 @@ using Digest = std::array<std::uint8_t, 32>;
 /// Incremental SHA-256 context.
 class Sha256 {
  public:
+  /// The eight 32-bit chaining words between compressions.
+  using State = std::array<std::uint32_t, 8>;
+
   Sha256() { reset(); }
+  /// Resumes hashing from `midstate`, the state() of a context that had
+  /// absorbed exactly `blocks` whole 64-byte blocks (HMAC key pads).
+  Sha256(const State& midstate, std::uint64_t blocks)
+      : state_{midstate}, total_len_{blocks * 64} {}
 
   void reset();
   void update(std::span<const std::uint8_t> data);
@@ -23,6 +30,9 @@ class Sha256 {
     update(std::span{reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
   [[nodiscard]] Digest finish();
+  /// Chaining state; a midstate for the resume constructor only when the
+  /// bytes absorbed so far are a whole number of blocks.
+  [[nodiscard]] const State& state() const noexcept { return state_; }
 
   /// One-shot convenience.
   static Digest hash(std::span<const std::uint8_t> data);
@@ -31,7 +41,7 @@ class Sha256 {
  private:
   void process_block(const std::uint8_t* block);
 
-  std::array<std::uint32_t, 8> state_{};
+  State state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_len_{0};
   std::size_t buffer_len_{0};

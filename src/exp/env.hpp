@@ -51,6 +51,13 @@ inline std::string env_string(const char* name, const char* fallback = "") {
   return v != nullptr && *v != '\0' ? std::string{v} : std::string{fallback};
 }
 
+/// Like env_string, but keeps an empty value: `fallback` only when unset.
+/// For knobs whose empty value means "none" (e.g. an empty list).
+inline std::string env_string_if_set(const char* name, const char* fallback) {
+  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
+  return v != nullptr ? std::string{v} : std::string{fallback};
+}
+
 /// Across-run parallelism: worker processes/threads the exp Runner uses to
 /// execute independent campaign runs concurrently. Distinct from
 /// ICC_SIM_THREADS, which parallelizes *one* run via the cell executive

@@ -2,11 +2,14 @@
 // threshold RSA, the two ThresholdScheme implementations, and NS-Lowe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <random>
 
 #include "crypto/hmac.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/ns_lowe.hpp"
+#include "crypto/pki.hpp"
 #include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/shamir.hpp"
@@ -25,6 +28,10 @@ std::vector<std::uint8_t> bytes(std::string_view s) {
   return {s.begin(), s.end()};
 }
 
+std::span<const std::uint8_t> as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
 // ---------------------------------------------------------------- SHA-256
 
 TEST(Sha256, Fips180KnownVectors) {
@@ -34,6 +41,11 @@ TEST(Sha256, Fips180KnownVectors) {
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
   EXPECT_EQ(to_hex(Sha256::hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256, Fips180MillionA) {
+  EXPECT_EQ(to_hex(Sha256::hash(std::string(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
@@ -72,6 +84,74 @@ TEST(Hmac, Rfc4231Vector2) {
       std::span{reinterpret_cast<const std::uint8_t*>("Jefe"), 4},
       std::span{reinterpret_cast<const std::uint8_t*>("what do ya want for nothing?"), 28});
   EXPECT_EQ(to_hex(mac), "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+TEST(Hmac, Rfc4231Vector3) {
+  const std::vector<std::uint8_t> key(20, 0xaa);
+  const std::vector<std::uint8_t> data(50, 0xdd);
+  EXPECT_EQ(to_hex(hmac_sha256(key, data)),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+}
+
+TEST(Hmac, Rfc4231Vector4) {
+  std::vector<std::uint8_t> key;
+  for (std::uint8_t b = 0x01; b <= 0x19; ++b) key.push_back(b);
+  const std::vector<std::uint8_t> data(50, 0xcd);
+  EXPECT_EQ(to_hex(hmac_sha256(key, data)),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
+TEST(Hmac, Rfc4231Vector5Truncated) {
+  const std::vector<std::uint8_t> key(20, 0x0c);
+  const std::string mac = to_hex(hmac_sha256(key, as_bytes("Test With Truncation")));
+  EXPECT_EQ(mac.substr(0, 32), "a3b6167473100ee06e0c796c2955552b");  // first 128 bits
+}
+
+TEST(Hmac, Rfc4231Vector6LongKey) {
+  const std::vector<std::uint8_t> key(131, 0xaa);  // > block size: hashed first
+  EXPECT_EQ(to_hex(hmac_sha256(key, as_bytes("Test Using Larger Than Block-Size Key - "
+                                              "Hash Key First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(Hmac, Rfc4231Vector7LongKeyLongData) {
+  const std::vector<std::uint8_t> key(131, 0xaa);
+  EXPECT_EQ(to_hex(hmac_sha256(
+                key, as_bytes("This is a test using a larger than block-size key and a "
+                              "larger than block-size data. The key needs to be hashed "
+                              "before being used by the HMAC algorithm."))),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+TEST(Hmac, KeyScheduleMatchesTextbookTwoPass) {
+  // H((K ^ opad) || H((K ^ ipad) || m)) spelled out with one-shot hashes,
+  // against the cached-midstate HmacKey, for every message length up to 200
+  // bytes (covers the 55/56/63/64/119/120-byte padding edges of both the
+  // inner and the resumed hash) and for short, block-sized and hashed keys.
+  for (const std::size_t key_len : {std::size_t{32}, std::size_t{64}, std::size_t{100}}) {
+    std::vector<std::uint8_t> key(key_len);
+    for (std::size_t i = 0; i < key_len; ++i) key[i] = static_cast<std::uint8_t>(7 * i + 1);
+    std::array<std::uint8_t, 64> block{};
+    if (key_len > 64) {
+      const Digest kd = Sha256::hash(key);
+      std::copy(kd.begin(), kd.end(), block.begin());
+    } else {
+      std::copy(key.begin(), key.end(), block.begin());
+    }
+    const HmacKey schedule{key};
+    std::vector<std::uint8_t> msg;
+    for (std::size_t len = 0; len <= 200; ++len) {
+      std::vector<std::uint8_t> inner;
+      for (const std::uint8_t b : block) inner.push_back(static_cast<std::uint8_t>(b ^ 0x36));
+      inner.insert(inner.end(), msg.begin(), msg.end());
+      const Digest inner_digest = Sha256::hash(inner);
+      std::vector<std::uint8_t> outer;
+      for (const std::uint8_t b : block) outer.push_back(static_cast<std::uint8_t>(b ^ 0x5c));
+      outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+      EXPECT_EQ(schedule.mac(msg), Sha256::hash(outer)) << "key " << key_len << " len " << len;
+      msg.push_back(static_cast<std::uint8_t>(len * 31 + 5));
+    }
+  }
 }
 
 TEST(Hmac, DifferentKeysDiffer) {
@@ -310,6 +390,60 @@ TEST_P(SchemeTest, PartialVerification) {
 TEST_P(SchemeTest, OnAirSizesArePositive) {
   EXPECT_GT(scheme_->partial_sig_bytes(), 0u);
   EXPECT_GT(scheme_->signature_bytes(), 0u);
+}
+
+// A dealer that never issued signer `i` derives its keys on the fly and must
+// reach the same verdicts as the dealer that issued it.
+TEST(ModelScheme, UnissuedSignerVerifiedByDerivation) {
+  ModelThresholdScheme issuer{99, 2, 1024};
+  std::vector<std::unique_ptr<ThresholdSigner>> signers;
+  for (std::uint32_t i = 0; i < 3; ++i) signers.push_back(issuer.issue_signer(i));
+  ModelThresholdScheme fresh{99, 2, 1024};
+  (void)fresh.issue_signer(0);  // a table that holds other ids, not signer 2
+
+  const auto msg = bytes("RREP for D");
+  const PartialSig good = signers[2]->partial_sign(2, msg);
+  EXPECT_TRUE(fresh.verify_partial(msg, good));
+  PartialSig tampered = good;
+  tampered.data[5] ^= 0x01;
+  EXPECT_FALSE(fresh.verify_partial(msg, tampered));
+  PartialSig out_of_range = good;
+  out_of_range.level = 3;
+  EXPECT_FALSE(fresh.verify_partial(msg, out_of_range));
+
+  std::vector<PartialSig> partials;
+  for (const auto& s : signers) partials.push_back(s->partial_sign(2, msg));
+  const auto sig = issuer.combine(2, msg, partials);
+  ASSERT_TRUE(sig.has_value());
+  const auto fresh_sig = fresh.combine(2, msg, partials);
+  ASSERT_TRUE(fresh_sig.has_value());
+  EXPECT_EQ(fresh_sig->data, sig->data);
+  EXPECT_TRUE(fresh.verify(msg, *sig));
+  ThresholdSignature tampered_sig = *sig;
+  tampered_sig.data[0] ^= 0x80;
+  EXPECT_FALSE(fresh.verify(msg, tampered_sig));
+  ThresholdSignature wrong_level = *sig;
+  wrong_level.level = 3;
+  EXPECT_FALSE(fresh.verify(msg, wrong_level));
+  wrong_level.level = 0;
+  EXPECT_FALSE(fresh.verify(msg, wrong_level));
+}
+
+TEST(ModelPki, UnissuedNodeVerifiedByDerivation) {
+  ModelPki issuer{42, 1024};
+  const auto signer = issuer.issue_signer(7);
+  ModelPki fresh{42, 1024};
+  (void)fresh.issue_signer(1);
+
+  const auto msg = bytes("value message");
+  const auto sig = signer->sign(msg);
+  EXPECT_TRUE(issuer.verify(7, msg, sig));
+  EXPECT_TRUE(fresh.verify(7, msg, sig));
+  auto tampered = sig;
+  tampered[3] ^= 0x10;
+  EXPECT_FALSE(fresh.verify(7, msg, tampered));
+  EXPECT_FALSE(fresh.verify(1, msg, sig));  // issued id, wrong key
+  EXPECT_FALSE(fresh.verify(8, msg, sig));  // unissued id, wrong key
 }
 
 INSTANTIATE_TEST_SUITE_P(ModelAndShoup, SchemeTest, ::testing::Values(false, true),

@@ -24,6 +24,16 @@ TEST_F(EnvTest, UnsetAndEmptyFallBack) {
   EXPECT_EQ(env_int("ICC_ENV_TEST", 7), 7);
 }
 
+TEST_F(EnvTest, IfSetKeepsEmptyValue) {
+  ::unsetenv("ICC_ENV_TEST");
+  EXPECT_EQ(env_string_if_set("ICC_ENV_TEST", "1,2"), "1,2");
+  ::setenv("ICC_ENV_TEST", "", 1);
+  EXPECT_EQ(env_string_if_set("ICC_ENV_TEST", "1,2"), "");
+  EXPECT_EQ(env_string("ICC_ENV_TEST", "1,2"), "1,2");
+  ::setenv("ICC_ENV_TEST", "4", 1);
+  EXPECT_EQ(env_string_if_set("ICC_ENV_TEST", "1,2"), "4");
+}
+
 TEST_F(EnvTest, WellFormedValuesParse) {
   ::setenv("ICC_ENV_TEST", "42", 1);
   EXPECT_EQ(env_int("ICC_ENV_TEST", 0), 42);
