@@ -36,9 +36,11 @@ Aodv::Aodv(net::Host& node, Params params)
 }
 
 void Aodv::schedule_seen_cache_cleanup() {
-  // Periodically forget seen RREQ ids so the cache stays bounded. rreq_ids
-  // are monotone per origin, so forgetting old entries cannot re-admit a
-  // duplicate that is still in flight within the timeout.
+  // Every seen_cache_timeout the whole cache is forgotten at once, so it
+  // stays bounded. An entry inserted just before a clear is forgotten with
+  // the rest, so a flood still in flight can be re-forwarded once more.
+  // RFC 3561 expires entries one by one instead; that change moves outputs
+  // and is its own ROADMAP item (per-entry RREQ expiry).
   node_.clock().schedule_in(params_.seen_cache_timeout, [this] {
     seen_rreqs_.clear();
     schedule_seen_cache_cleanup();
@@ -185,7 +187,7 @@ void Aodv::start_discovery(sim::NodeId dest) {
   rreq.dest_seq_known = it != routes_.end() && it->second.seq_known;
   rreq.dest_seq = rreq.dest_seq_known ? it->second.dest_seq : 0;
   rreq.hop_count = 0;
-  seen_rreqs_.emplace(rreq.orig, rreq.rreq_id);
+  seen_rreqs_.insert(rreq.orig, rreq.rreq_id);
   broadcast_rreq(rreq);
 
   pending.retry_event = node_.clock().schedule_in(
@@ -216,7 +218,7 @@ void Aodv::retry_discovery(sim::NodeId dest) {
   rreq.dest_seq_known = rit != routes_.end() && rit->second.seq_known;
   rreq.dest_seq = rreq.dest_seq_known ? rit->second.dest_seq : 0;
   rreq.hop_count = 0;
-  seen_rreqs_.emplace(rreq.orig, rreq.rreq_id);
+  seen_rreqs_.insert(rreq.orig, rreq.rreq_id);
   broadcast_rreq(rreq);
   pending.retry_event = node_.clock().schedule_in(
       params_.rreq_retry_interval * (1 << pending.attempts), [this, dest] {
@@ -296,7 +298,7 @@ void Aodv::handle_packet(const sim::Packet& packet, sim::NodeId from) {
 
 void Aodv::handle_rreq(const RreqMsg& rreq, sim::NodeId from) {
   if (rreq.orig == node_.id()) return;
-  if (!seen_rreqs_.emplace(rreq.orig, rreq.rreq_id).second) return;
+  if (!seen_rreqs_.insert(rreq.orig, rreq.rreq_id)) return;
 
   update_route(from, from, 1, 0, false);
   update_route(rreq.orig, from, rreq.hop_count + 1, rreq.orig_seq, true);

@@ -16,9 +16,9 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 
 #include "aodv/messages.hpp"
+#include "aodv/tables.hpp"
 #include "net/host.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
@@ -75,15 +75,6 @@ class Aodv {
   void invalidate_routes_via(sim::NodeId via);
 
  protected:
-  struct RouteEntry {
-    sim::NodeId next_hop{sim::kNoNode};
-    std::uint32_t hop_count{0};
-    std::uint32_t dest_seq{0};
-    bool seq_known{false};
-    sim::Time expires{0.0};
-    bool valid{false};
-  };
-
   // Virtual so attacker variants (misbehavior.hpp) can subvert exactly the
   // steps a compromised implementation would.
   virtual void handle_rreq(const RreqMsg& rreq, sim::NodeId from);
@@ -120,12 +111,13 @@ class Aodv {
 
   std::uint32_t own_seq_{1};
   std::uint32_t next_rreq_id_{1};
-  // Ordered deliberately: on_link_failure and forward_data iterate routes_
-  // to assemble RERR payloads, so iteration order reaches packet contents.
-  // std::map keys the walk on NodeId instead of hash-table layout, keeping
-  // the wire bytes a pure function of protocol state (DESIGN.md §9).
-  std::map<sim::NodeId, RouteEntry> routes_;
-  std::set<std::pair<sim::NodeId, std::uint32_t>> seen_rreqs_;
+  // Ordered deliberately: on_link_failure iterates routes_ to assemble RERR
+  // payloads, so iteration order reaches packet contents. RouteTable walks
+  // in NodeId order, never in hash-table layout, keeping the wire bytes a
+  // pure function of protocol state (DESIGN.md §9). No iterator or reference
+  // into it may survive a call to update_route (see RouteTable).
+  RouteTable routes_;
+  RreqSeenSet seen_rreqs_;
 
   struct PendingDiscovery {
     int attempts{0};

@@ -159,8 +159,9 @@ BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConf
   result.watchdog_blacklisted =
       static_cast<std::uint64_t>(world.stats().get("watchdog.blacklisted"));
   result.mac_collisions = world.medium().collisions();
-  result.control_packets = static_cast<std::uint64_t>(world.stats().get("aodv.rreq_sent") +
-                                                      world.stats().get("aodv.rrep_sent"));
+  result.rreq_sent = static_cast<std::uint64_t>(world.stats().get("aodv.rreq_sent"));
+  result.rrep_sent = static_cast<std::uint64_t>(world.stats().get("aodv.rrep_sent"));
+  result.control_packets = result.rreq_sent + result.rrep_sent;
   for (std::size_t k = 0; k < fault::kNumAttackKinds; ++k) {
     const auto kind = static_cast<fault::AttackKind>(k);
     if (!fault::attack_kind_booked(kind)) continue;
@@ -209,6 +210,8 @@ BlackholeExperimentResult run_blackhole_experiment_averaged(BlackholeExperimentC
     total.watchdog_blacklisted += one.watchdog_blacklisted;
     total.mac_collisions += one.mac_collisions;
     total.control_packets += one.control_packets;
+    total.rreq_sent += one.rreq_sent;
+    total.rrep_sent += one.rrep_sent;
     for (std::size_t k = 0; k < fault::kNumAttackKinds; ++k) {
       total.attack_kind_injected[k] += one.attack_kind_injected[k];
     }

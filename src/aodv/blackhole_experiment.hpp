@@ -100,6 +100,8 @@ struct BlackholeExperimentResult {
   /// defense matrix: an attack that floods discovery or a defense that
   /// forces rediscovery both show up here.
   std::uint64_t control_packets{0};
+  std::uint64_t rreq_sent{0};  ///< the RREQ share of control_packets
+  std::uint64_t rrep_sent{0};  ///< the RREP share of control_packets
   /// Injected-action count per attack kind ("fault.kind.<name>" counters;
   /// index = fault::AttackKind). Only the zoo kinds book these.
   std::array<std::uint64_t, fault::kNumAttackKinds> attack_kind_injected{};

@@ -19,7 +19,7 @@
 namespace icc::sim {
 
 namespace detail {
-thread_local ExecContext* t_exec_ctx = nullptr;
+constinit thread_local ExecContext* t_exec_ctx = nullptr;
 }  // namespace detail
 
 void exec_buffer_metric_op(ExecMetricOp kind, std::uint32_t id, double v) {

@@ -72,7 +72,11 @@ struct ExecContext {
 
 namespace detail {
 // Defined in exec.cpp. extern (not inline) so there is exactly one TLS slot.
-extern thread_local ExecContext* t_exec_ctx;
+// constinit tells every includer the slot is constant-initialized (to null),
+// so a read is a plain TLS load instead of a call through the TLS wrapper
+// function. (GCC's -O2 -fsanitize=undefined build reports the wrapper path
+// as a load of a null pointer.)
+extern constinit thread_local ExecContext* t_exec_ctx;
 }  // namespace detail
 
 /// The current worker context, or nullptr on any serially executing thread.
