@@ -178,11 +178,13 @@ int main() {
     attacks.push_back(*kind);
   }
 
-  std::vector<int> levels;
-  for (const std::string& item : split_csv(icc::exp::env_string("ICC_DEFENSE_LEVELS", "1,2"))) {
-    const int level = std::atoi(item.c_str());
-    if (level < 1) bad_attack_name(item);  // reuse the loud-abort path
-    levels.push_back(level);
+  const std::vector<int> levels = icc::exp::env_int_list("ICC_DEFENSE_LEVELS", "1,2");
+  for (const int level : levels) {
+    if (level < 1) {
+      icc::exp::env_fail("ICC_DEFENSE_LEVELS",
+                         icc::exp::env_string("ICC_DEFENSE_LEVELS").c_str(),
+                         "list of levels >= 1");
+    }
   }
 
   std::printf("defense matrix: %zu attack(s) x %zu defense(s), %d nodes, %.0f s/cell\n\n",

@@ -1,21 +1,19 @@
 // Simulator-throughput scale sweep: how fast does the core run as the world
 // grows? For each node count N the same seeded scenario (density-preserving
 // area, N/5 CBR connections, no attackers, no defense) is simulated once per
-// engine:
+// neighbor-query path:
 //
-//   grid    legacy serial event loop, neighbor queries from the uniform-grid
-//           spatial index (sim/grid.hpp) — the serial baseline
-//   brute   legacy serial event loop, brute-force all-nodes neighbor scan
-//   execK   parallel cell executive (sim/exec.hpp) with K worker threads,
-//           K from ICC_SCALE_THREADS (default 1,2,4,8)
+//   grid    neighbor queries from the uniform-grid spatial index
+//           (sim/grid.hpp) — the baseline
+//   brute   brute-force all-nodes neighbor scan
 //
 // and the bench reports wall-clock seconds, scheduler events/s, frames/s,
-// and the speedup of each engine over the serial grid baseline.
+// and the speedup of each path over the grid baseline.
 //
-// All engines promise the same simulation, so the bench doubles as a
+// Both paths promise the same simulation, so the bench doubles as a
 // correctness gate: any mismatch in events executed, frames sent, packets
-// delivered, or MAC collisions between engines of the same (N, run) exits
-// nonzero, and so does a serial grid baseline that executed no events or
+// delivered, or MAC collisions between paths of the same (N, run) exits
+// nonzero, and so does a grid baseline that executed no events or
 // delivered no packets at some N (nothing was compared: raise
 // ICC_SCALE_TIME past the traffic start). CI's perf-smoke job runs exactly
 // that gate at N=100 (it is correctness-gated, not time-gated: shared
@@ -23,15 +21,15 @@
 //
 // Environment knobs: ICC_SCALE_NODES (comma list, default 100,1000,10000),
 // ICC_SCALE_TIME (default 20 s), ICC_SCALE_RUNS (default 1),
-// ICC_SCALE_THREADS (comma list of executive worker counts, default
-// 1,2,4,8; empty string = serial engines only), ICC_SCALE_BRUTE_MAX
-// (default 1000 — the brute cell is skipped for larger N, where the O(N^2)
-// scan would dominate the sweep's wall time), ICC_THREADS (keep the
-// default 1 when the wall-clock numbers matter), ICC_JSON.
+// ICC_SCALE_BRUTE_MAX (default 1000 — the brute cell is skipped for larger
+// N, where the O(N^2) scan would dominate the sweep's wall time),
+// ICC_THREADS (keep the default 1 when the wall-clock numbers matter),
+// ICC_JSON.
 // The committed bench/BENCH_scale.json is this bench's ICC_JSON report at
 // the defaults — the perf trajectory baseline for future PRs.
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -45,54 +43,30 @@
 
 namespace {
 
-std::vector<int> parse_int_list(const std::string& spec) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item = spec.substr(pos, comma == std::string::npos ? spec.size() - pos
-                                                                         : comma - pos);
-    if (!item.empty()) out.push_back(std::stoi(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-/// One point on the engine axis: which event loop and which neighbor path.
+/// The engine axis: which neighbor-query path serves the radio.
 struct Engine {
-  std::string label;  ///< axis label, e.g. "grid", "brute", "exec4"
+  const char* label;  ///< axis label: "grid" or "brute"
   bool spatial_grid;  ///< neighbor queries from the spatial index?
-  int sim_threads;    ///< 0 = legacy serial loop, K >= 1 = cell executive
 };
+constexpr Engine kEngines[] = {{"grid", true}, {"brute", false}};
 
 }  // namespace
 
 int main() {
   const std::string nodes_spec = icc::exp::env_string("ICC_SCALE_NODES", "100,1000,10000");
-  const std::vector<int> node_counts = parse_int_list(nodes_spec);
+  const std::vector<int> node_counts =
+      icc::exp::env_int_list("ICC_SCALE_NODES", "100,1000,10000");
   const double sim_time = icc::exp::env_double("ICC_SCALE_TIME", 20.0);
   const int runs = icc::exp::env_int("ICC_SCALE_RUNS", 1);
   const int brute_max = icc::exp::env_int("ICC_SCALE_BRUTE_MAX", 1000);
-  const std::vector<int> thread_counts =
-      parse_int_list(icc::exp::env_string_if_set("ICC_SCALE_THREADS", "1,2,4,8"));
   if (node_counts.empty()) {
     std::fprintf(stderr, "ICC_SCALE_NODES parsed to an empty list\n");
     return 1;
   }
 
-  std::vector<Engine> engines;
-  engines.push_back({"grid", true, 0});
-  engines.push_back({"brute", false, 0});
-  for (const int k : thread_counts) {
-    engines.push_back({"exec" + std::to_string(k), true, k});
-  }
-
-  // The execK wall-clock numbers only mean something relative to the host's
-  // core count: on a single-vCPU runner the executive's speedup is bounded
-  // above by 1.0 whatever the simulation looks like, and the exec rows then
-  // measure pure windowing/merge overhead. Printed (and written to the JSON
-  // meta) so an artifact is never read without its hardware context.
+  // Wall-clock numbers only mean something with their hardware context:
+  // printed (and written to the JSON meta) so an artifact is never read
+  // without the host's core count.
   const unsigned host_cpus = std::thread::hardware_concurrency();
   std::printf("Simulator scale sweep — N in {%s}, %.0f s simulated, %d run(s) per cell\n"
               "(density-preserving area, N/5 CBR connections, no attackers;\n"
@@ -108,13 +82,13 @@ int main() {
     std::vector<std::string> node_labels;
     for (const int n : node_counts) node_labels.push_back(std::to_string(n));
     std::vector<std::string> engine_labels;
-    for (const Engine& e : engines) engine_labels.push_back(e.label);
+    for (const Engine& e : kEngines) engine_labels.emplace_back(e.label);
     campaign.grid.axis("nodes", node_labels);
     campaign.grid.axis("engine", engine_labels);
   }
   campaign.job = [&](const icc::exp::JobContext& ctx) {
     const int n = node_counts[campaign.grid.level(ctx.cell, 0)];
-    const Engine& engine = engines[campaign.grid.level(ctx.cell, 1)];
+    const Engine& engine = kEngines[campaign.grid.level(ctx.cell, 1)];
     if (!engine.spatial_grid && n > brute_max) return icc::exp::JobOutputs{};  // skipped
     icc::aodv::BlackholeExperimentConfig config;
     config.num_nodes = n;
@@ -124,16 +98,13 @@ int main() {
     // ~5 instead of ~10) — a sparser, longer-hop topology keeps the
     // per-frame delivery fan-out from drowning the neighbor-query machinery
     // this sweep exists to compare, while staying above the continuum
-    // percolation threshold so multihop routes exist. It also means the
-    // executive's component count grows with N (the conflict radius is
-    // fixed), so within-run parallelism has something to bite on at large N.
+    // percolation threshold so multihop routes exist.
     config.area = 1000.0 * std::sqrt(static_cast<double>(n) / 25.0);
     config.num_connections = n / 5;
     config.num_malicious = 0;
     config.sim_time = sim_time;
     config.seed = ctx.seed;
     config.spatial_grid = engine.spatial_grid;
-    config.sim_threads = engine.sim_threads;
     // detlint:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
     const auto start = std::chrono::steady_clock::now();
     const auto r = icc::aodv::run_blackhole_experiment(config);
@@ -145,7 +116,7 @@ int main() {
     out["events_per_s"] = {wall_s > 0.0 ? static_cast<double>(r.events_executed) / wall_s
                                         : 0.0};
     out["frames_per_s"] = {wall_s > 0.0 ? static_cast<double>(r.frames_sent) / wall_s : 0.0};
-    // Correctness signature of the run: must match exactly across engines.
+    // Correctness signature of the run: must match exactly across paths.
     out["events_executed"] = {static_cast<double>(r.events_executed)};
     out["frames_sent"] = {static_cast<double>(r.frames_sent)};
     out["packets_received"] = {static_cast<double>(r.packets_received)};
@@ -155,10 +126,9 @@ int main() {
   };
   const icc::exp::CampaignResult result = icc::exp::run_campaign(campaign);
 
-  // Correctness gate: every engine of the same N simulated the same seeds,
-  // so their simulation outputs (not their wall-clock) must agree to the
-  // last bit — the spatial grid against the brute scan, and the parallel
-  // executive at every thread count against the legacy serial loop.
+  // Correctness gate: both paths of the same N simulated the same seeds, so
+  // their simulation outputs (not their wall-clock) must agree to the last
+  // bit.
   bool consistent = true;
   const char* signature[] = {"events_executed", "frames_sent", "packets_received",
                              "mac_collisions"};
@@ -170,13 +140,13 @@ int main() {
       const auto& base = result.series(base_cell, metric);
       if (base.count == 0 || !(base.min > 0.0)) {
         std::fprintf(stderr,
-                     "VACUOUS at N=%d: the serial grid baseline has %s=0 — nothing "
+                     "VACUOUS at N=%d: the grid baseline has %s=0 — nothing "
                      "simulated to compare (raise ICC_SCALE_TIME)\n",
                      node_counts[ni], metric);
         consistent = false;
       }
     }
-    for (std::size_t ei = 1; ei < engines.size(); ++ei) {
+    for (std::size_t ei = 1; ei < std::size(kEngines); ++ei) {
       const std::size_t cell = campaign.grid.cell_index({ni, ei});
       if (result.series(cell, "events_executed").count == 0) continue;  // skipped
       for (const char* metric : signature) {
@@ -184,9 +154,9 @@ int main() {
         const auto& b = result.series(cell, metric);
         if (a.count != b.count || a.sum != b.sum) {
           std::fprintf(stderr,
-                       "MISMATCH at N=%d: %s grid=%.0f %s=%.0f — engine diverged "
-                       "from the serial grid baseline\n",
-                       node_counts[ni], metric, a.sum, engines[ei].label.c_str(), b.sum);
+                       "MISMATCH at N=%d: %s grid=%.0f %s=%.0f — path diverged "
+                       "from the grid baseline\n",
+                       node_counts[ni], metric, a.sum, kEngines[ei].label, b.sum);
           consistent = false;
         }
       }
@@ -197,16 +167,16 @@ int main() {
               "wall s", "events/s", "frames/s", "speedup");
   for (std::size_t ni = 0; ni < node_counts.size(); ++ni) {
     const double base = result.mean(campaign.grid.cell_index({ni, 0}), "events_per_s");
-    for (std::size_t ei = 0; ei < engines.size(); ++ei) {
+    for (std::size_t ei = 0; ei < std::size(kEngines); ++ei) {
       const std::size_t cell = campaign.grid.cell_index({ni, ei});
       if (result.series(cell, "events_executed").count == 0) {
         std::printf("%8d %8s %10s | %10s %12s %12s | %8s\n", node_counts[ni],
-                    engines[ei].label.c_str(), "-", "-", "-", "-", "skipped");
+                    kEngines[ei].label, "-", "-", "-", "-", "skipped");
         continue;
       }
       const double eps = result.mean(cell, "events_per_s");
       std::printf("%8d %8s %10.0f | %10.2f %12.0f %12.0f | %7.2fx\n", node_counts[ni],
-                  engines[ei].label.c_str(), result.mean(cell, "events_executed"),
+                  kEngines[ei].label, result.mean(cell, "events_executed"),
                   result.mean(cell, "wall_s"), eps, result.mean(cell, "frames_per_s"),
                   base > 0.0 ? eps / base : 0.0);
     }
@@ -223,18 +193,6 @@ int main() {
     report.set_meta("seed", campaign.base_seed);
     report.set_meta("host_cpus", static_cast<std::uint64_t>(host_cpus));
     result.add_to_report(report);
-    // Speedup-over-serial columns (events/s of each engine over the serial
-    // grid baseline at the same N), precomputed so the artifact reads
-    // without cross-series arithmetic.
-    for (std::size_t ni = 0; ni < node_counts.size(); ++ni) {
-      const double base = result.mean(campaign.grid.cell_index({ni, 0}), "events_per_s");
-      for (std::size_t ei = 0; ei < engines.size(); ++ei) {
-        const std::size_t cell = campaign.grid.cell_index({ni, ei});
-        if (base <= 0.0 || result.series(cell, "events_executed").count == 0) continue;
-        report.set_meta("speedup." + campaign.grid.key(cell),
-                        result.mean(cell, "events_per_s") / base);
-      }
-    }
     if (!report.write_file(json_path)) {
       std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
     }

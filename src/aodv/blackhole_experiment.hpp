@@ -72,11 +72,6 @@ struct BlackholeExperimentConfig {
   /// to measure the brute-force baseline.
   bool spatial_grid{true};
 
-  /// Within-run worker threads for the parallel cell executive; forwarded
-  /// to WorldConfig::sim_threads (-1 = read ICC_SIM_THREADS, 0 = legacy
-  /// serial engine). Outputs are byte-identical at any count >= 1.
-  int sim_threads{-1};
-
   /// Invoked on the freshly constructed (still empty) World. Deployment
   /// parity hook: entry points install net::attach_sim_codec here when
   /// ICC_NET_CODEC is set, forcing every delivered frame through the wire

@@ -4,78 +4,49 @@
 // once so the knob set (ICC_RUNS, ICC_SIM_TIME, ICC_THREADS, ICC_JSON,
 // ICC_CAMPAIGN_JOURNAL, ...) is parsed uniformly.
 //
-// Parsing is strict: a malformed value (ICC_THREADS=1O, ICC_SIM_TIME=3OO.0)
-// aborts with a message naming the variable instead of silently truncating
-// to a numeric prefix the way atoi/atof would — a typo'd knob must never
-// launch a multi-hour campaign with the wrong parameters.
+// Parsing is strict: a malformed value (ICC_THREADS=1O, ICC_SIM_TIME=3OO.0,
+// ICC_SCALE_NODES=1x00) aborts with a message naming the variable instead of
+// silently truncating to a numeric prefix the way atoi/atof would — a typo'd
+// knob must never launch a multi-hour campaign with the wrong parameters.
 #pragma once
 
-#include <cerrno>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <string>
+#include <vector>
+
+#include "sim/env.hpp"
 
 namespace icc::exp {
 
-[[noreturn]] inline void env_fail(const char* name, const char* value, const char* want) {
-  std::fprintf(stderr, "env: %s='%s' is not a valid %s\n", name, value, want);
-  std::abort();
-}
+// One strict implementation (sim/env.hpp), shared with the simulator's own
+// knobs.
+using sim::env_double;
+using sim::env_fail;
+using sim::env_int;
+using sim::env_string;
+using sim::env_string_if_set;
 
-inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
-  if (v == nullptr || *v == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX) {
-    env_fail(name, v, "integer");
+/// Comma-separated integer list (e.g. ICC_SCALE_NODES=100,1000). Every item
+/// must be a whole integer — "1x00" or "2x" aborts naming the variable
+/// rather than running with a truncated prefix. Empty items are skipped;
+/// `fallback` applies when the variable is unset or empty.
+inline std::vector<int> env_int_list(const char* name, const char* fallback) {
+  const std::string spec = env_string(name, fallback);
+  std::vector<int> out;
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string item = spec.substr(pos, comma - pos);
+    if (!item.empty()) {
+      int value = 0;
+      if (!sim::parse_whole_int(item.c_str(), value)) {
+        env_fail(name, spec.c_str(), "comma-separated integer list");
+      }
+      out.push_back(value);
+    }
+    pos = comma + 1;
   }
-  return static_cast<int>(parsed);
-}
-
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
-  if (v == nullptr || *v == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE) env_fail(name, v, "number");
-  return parsed;
-}
-
-/// Returns the variable's value, or `fallback` when unset or empty.
-inline std::string env_string(const char* name, const char* fallback = "") {
-  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
-  return v != nullptr && *v != '\0' ? std::string{v} : std::string{fallback};
-}
-
-/// Like env_string, but keeps an empty value: `fallback` only when unset.
-/// For knobs whose empty value means "none" (e.g. an empty list).
-inline std::string env_string_if_set(const char* name, const char* fallback) {
-  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
-  return v != nullptr ? std::string{v} : std::string{fallback};
-}
-
-/// Across-run parallelism: worker processes/threads the exp Runner uses to
-/// execute independent campaign runs concurrently. Distinct from
-/// ICC_SIM_THREADS, which parallelizes *one* run via the cell executive
-/// (sim/exec.hpp). Warns when both are set aggressively: N runner workers x
-/// M executive workers oversubscribes the host N*M-fold, which slows both —
-/// pick one axis (across runs for campaigns, within a run for single large
-/// worlds).
-inline int env_runner_threads(int fallback = 1) {
-  const int runner = env_int("ICC_THREADS", fallback);
-  const int sim = env_int("ICC_SIM_THREADS", 0);
-  if (runner > 1 && sim > 1) {
-    std::fprintf(stderr,
-                 "env: warning: ICC_THREADS=%d and ICC_SIM_THREADS=%d are both > 1; "
-                 "the host will run %d simulator threads at once. Use ICC_THREADS "
-                 "for campaigns, ICC_SIM_THREADS for single large runs.\n",
-                 runner, sim, runner * sim);
-  }
-  return runner;
+  return out;
 }
 
 }  // namespace icc::exp

@@ -78,7 +78,7 @@ class Mac {
   void handle_frame_arrival(Reception& rx);
   void send_ack(const Frame& data_frame);
 
-  // icc:sync: MAC schedules on the world clock and contends on the shared Medium; parallel DES serializes these through the owning cell
+  // icc:sync: MAC schedules on the world clock and contends on the shared Medium; the serial event loop runs one MAC handler at a time
   World& world_;
   Node& node_;
   MacParams params_;

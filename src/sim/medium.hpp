@@ -11,6 +11,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/frame.hpp"
@@ -27,11 +28,6 @@ class World;
 /// of the reception).
 enum class DeliveryVerdict : std::uint8_t { kDeliver, kDrop, kCorrupt };
 
-// Under the parallel executive the air table is sharded by position; the
-// conflict radius (>= cs_range + shard diagonal) keeps any two components'
-// transmissions in disjoint shard neighborhoods, so shard vectors need no
-// locks (DESIGN.md §16). Counters are buffered per component and merged at
-// the barrier.
 // icc:affinity(world)
 class Medium {
  public:
@@ -49,51 +45,22 @@ class Medium {
   [[nodiscard]] double tx_range() const noexcept { return tx_range_; }
   [[nodiscard]] double cs_range() const noexcept { return cs_range_; }
 
-  /// Total frames put on the air (all nodes). Serial (between-window) read.
+  /// Total frames put on the air (all nodes).
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
   /// Transmissions still in progress at `now` (air-table occupancy; expired
   /// entries are skipped without being erased, so this is honestly const).
-  /// Serial read (the health sampler is world-owned).
   [[nodiscard]] std::size_t on_air_count(Time now) const;
   /// Frames destroyed by collisions (counted per victim reception).
   [[nodiscard]] std::uint64_t collisions() const noexcept { return collisions_; }
-  void count_collision() noexcept;
-
-  /// Merge a window component's counter deltas (executive barrier).
-  void merge_counters(std::uint64_t frames_sent, std::uint64_t collisions) noexcept {
-    frames_sent_ += frames_sent;
-    collisions_ += collisions;
-  }
-
-  /// Switch the air table from the end-time multimap to position shards of
-  /// side `shard_side` (parallel executive only: shard scans replace the
-  /// global expired-prefix walk so concurrent components never touch the
-  /// same storage). Must be called before any transmission.
-  void enable_air_shards(double shard_side, double width, double height);
-  [[nodiscard]] bool air_sharded() const noexcept { return sharded_; }
-  /// Shard side in meters (0 when not sharded). The executive folds the
-  /// shard diagonal into the conflict radius.
-  [[nodiscard]] double air_shard_side() const noexcept { return shard_side_; }
+  void count_collision() noexcept { ++collisions_; }
 
   /// Fault-injection hook: consulted once per (frame, in-range receiver)
   /// pair; absent (the default), every in-range receiver gets the frame.
-  /// Replaces any previous filter; pass nullptr to clear. Installing a
-  /// filter marks the run serially coupled: filters may consult arbitrary
-  /// world state (wormhole peers, channel schedules), so the executive
-  /// falls back to the serial engine for such runs.
+  /// Replaces any previous filter; pass nullptr to clear.
   using DeliveryFilter = std::function<DeliveryVerdict(const Frame&, NodeId rx, Time now)>;
-  void set_delivery_filter(DeliveryFilter filter);
+  void set_delivery_filter(DeliveryFilter filter) { delivery_filter_ = std::move(filter); }
 
  private:
-  /// One in-progress (or not yet retired) transmission in sharded mode.
-  struct AirEntry {
-    Time end;
-    Vec2 pos;
-  };
-
-  [[nodiscard]] std::uint32_t shard_col(double x) const noexcept;
-  [[nodiscard]] std::uint32_t shard_row(double y) const noexcept;
-
   World& world_;
   double tx_range_;
   double cs_range_;
@@ -103,13 +70,9 @@ class Medium {
   /// the next begin_transmission; carrier sense skips them without mutating
   /// anything via upper_bound(now), so busy_at is honestly const.
   std::multimap<Time, Vec2> on_air_;
-  /// Sharded air table (parallel executive): entries bucketed by transmitter
-  /// position; each insert retires its own shard's expired entries.
-  std::vector<std::vector<AirEntry>> air_shards_;
-  double shard_side_{0.0};
-  std::uint32_t shards_x_{1};
-  std::uint32_t shards_y_{1};
-  bool sharded_{false};
+  /// Receiver candidates of the transmission being started; reused so the
+  /// per-frame hot path never allocates in steady state.
+  std::vector<NodeId> rx_scratch_;
   std::uint64_t frames_sent_{0};
   std::uint64_t collisions_{0};
   DeliveryFilter delivery_filter_;

@@ -16,15 +16,16 @@ namespace icc::sim {
 
 class Stats {
  public:
-  // add/sample route through the registry's named entry points, which
-  // intern-then-update serially and buffer under the parallel executive
-  // (interning on a worker thread would race and perturb report field order).
-  void add(const std::string& key, double v = 1.0) { registry_.add_named(key, v); }
+  void add(const std::string& key, double v = 1.0) {
+    registry_.add(registry_.counter_id(key), v);
+  }
   [[nodiscard]] double get(const std::string& key) const {
     return registry_.counter_value(key);
   }
 
-  void sample(const std::string& key, double v) { registry_.sample_named(key, v); }
+  void sample(const std::string& key, double v) {
+    registry_.sample(registry_.series_id(key), v);
+  }
   [[nodiscard]] const SampleSeries& samples(const std::string& key) const {
     return registry_.series_by_name(key);
   }

@@ -1,11 +1,11 @@
 #include "sim/trace.hpp"
 
+#include "sim/env.hpp"
 #include "sim/flight.hpp"
 
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -221,13 +221,10 @@ std::uint32_t Tracer::parse_mask(const char* spec) {
 }
 
 void Tracer::configure_from_env() {
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-  const std::uint32_t mask = parse_mask(std::getenv("ICC_TRACE"));  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
+  const std::uint32_t mask = parse_mask(env_raw("ICC_TRACE"));
   if (mask != 0) {
     mask_ |= mask;
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-    const char* path = std::getenv("ICC_TRACE_FILE");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-    if (path != nullptr && *path != '\0') {
+    if (const char* path = env_raw("ICC_TRACE_FILE"); path != nullptr) {
       std::ostream& out = shared_file_stream(path);
       const std::string_view p{path};
       if (p.size() >= 6 && p.substr(p.size() - 6) == ".jsonl") {
@@ -239,9 +236,7 @@ void Tracer::configure_from_env() {
       add_owned_sink(std::make_unique<LineTraceSink>(std::cerr));
     }
   }
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-  const char* perfetto = std::getenv("ICC_TRACE_PERFETTO");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-  if (perfetto != nullptr && *perfetto != '\0') {
+  if (const char* perfetto = env_raw("ICC_TRACE_PERFETTO"); perfetto != nullptr) {
     // The export wants the whole picture: enable every category.
     mask_ = (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
     bool first_open = false;
@@ -249,19 +244,14 @@ void Tracer::configure_from_env() {
     if (first_open) out << "[\n";  // closing ']' is optional in the format
     add_owned_sink(std::make_unique<PerfettoTraceSink>(out));
   }
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-  const char* flight = std::getenv("ICC_FLIGHT");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-  if (flight != nullptr && *flight != '\0' && std::strcmp(flight, "0") != 0) {
-    std::size_t capacity = kDefaultFlightRecords;
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-    if (const char* records = std::getenv("ICC_FLIGHT_RECORDS");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-        records != nullptr && *records != '\0') {
-      const unsigned long long parsed = std::strtoull(records, nullptr, 10);
-      if (parsed > 0) capacity = static_cast<std::size_t>(parsed);
+  if (env_flag("ICC_FLIGHT")) {
+    const int records =
+        env_int("ICC_FLIGHT_RECORDS", static_cast<int>(kDefaultFlightRecords));
+    if (records < 1) {
+      env_fail("ICC_FLIGHT_RECORDS", env_raw("ICC_FLIGHT_RECORDS"), "positive integer");
     }
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-    const char* dump = std::getenv("ICC_FLIGHT_DUMP");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-    enable_flight(capacity, dump != nullptr && *dump != '\0' ? dump : "icc_flight");
+    enable_flight(static_cast<std::size_t>(records),
+                  env_string("ICC_FLIGHT_DUMP", "icc_flight"));
   }
 }
 

@@ -1,11 +1,8 @@
 #include "sim/world.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "sim/exec.hpp"
+#include "sim/env.hpp"
 
 namespace icc::sim {
 
@@ -27,57 +24,14 @@ World::World(WorldConfig config)
             std::max(config.tx_range, config.tx_range * config.cs_range_factor),
             kGridSlackFraction *
                 std::max(config.tx_range, config.tx_range * config.cs_range_factor)} {
-  // Resolve the within-run thread count first: enabling the partitioned
-  // scheduler (and air shards) is only legal before anything is scheduled
-  // or transmitted, and the health sampler below schedules.
-  int threads = config_.sim_threads;
-  if (threads < 0) {
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); executive selection only
-    const char* env = std::getenv("ICC_SIM_THREADS");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-    threads = env != nullptr && *env != '\0'
-                  ? static_cast<int>(std::strtol(env, nullptr, 10))
-                  : 0;
-  }
-  if (threads < 0) threads = 0;
-  if (threads > 0 && !config_.spatial_grid) {
-    // The brute-force neighbor scan reads every node's live position, which
-    // the conflict-radius argument cannot cover.
-    std::fprintf(stderr, "icc: warning: ICC_SIM_THREADS requires spatial_grid; "
-                         "running the legacy serial engine\n");
-    threads = 0;
-  }
-  if (threads > 0 && !(config_.mac.preamble > 0.0)) {
-    // The executive's lookahead is the guaranteed minimum frame airtime —
-    // the preamble. Without one there is no conservative window.
-    std::fprintf(stderr, "icc: warning: ICC_SIM_THREADS requires a positive MAC "
-                         "preamble (lookahead); running the legacy serial engine\n");
-    threads = 0;
-  }
-  exec_threads_ = threads;
-  if (exec_threads_ > 0) {
-    sched_.enable_partitioned();
-    medium_.enable_air_shards(config_.tx_range * config_.cs_range_factor / 3.0,
-                              config_.width, config_.height);
-  }
   tracer_.configure_from_env();
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); profiling toggle only
-  const char* profile = std::getenv("ICC_PROFILE");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-  if (profile != nullptr && *profile != '\0' && std::strcmp(profile, "0") != 0) {
-    sched_.enable_profiling(true);
-  }
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); health sampling knob
-  const char* health = std::getenv("ICC_TRACE_HEALTH");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-  if (health != nullptr && *health != '\0') {
-    health_interval_ = std::strtod(health, nullptr);
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); health sampling knob
-    const char* per_node = std::getenv("ICC_TRACE_HEALTH_NODES");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-    health_per_node_ =
-        per_node != nullptr && *per_node != '\0' && std::strcmp(per_node, "0") != 0;
-    // Arm only when someone is listening: a self-rescheduling sampler would
-    // otherwise keep an idle scheduler alive forever.
-    if (health_interval_ > 0.0 && tracer_.enabled(TraceCategory::kHealth)) {
-      sched_.schedule_in(health_interval_, [this] { health_sample(); });
-    }
+  if (env_flag("ICC_PROFILE")) sched_.enable_profiling(true);
+  health_interval_ = env_double("ICC_TRACE_HEALTH", 0.0);
+  health_per_node_ = env_flag("ICC_TRACE_HEALTH_NODES");
+  // Arm only when someone is listening: a self-rescheduling sampler would
+  // otherwise keep an idle scheduler alive forever.
+  if (health_interval_ > 0.0 && tracer_.enabled(TraceCategory::kHealth)) {
+    sched_.schedule_in(health_interval_, [this] { health_sample(); });
   }
 }
 
@@ -104,47 +58,15 @@ void World::health_sample() {
   sched_.schedule_in(health_interval_, [this] { health_sample(); });
 }
 
-World::~World() = default;
-
-void World::run_until(Time end) {
-  if (exec_threads_ > 0) {
-    if (!exec_) exec_ = std::make_unique<Executive>(*this, exec_threads_);
-    exec_->run_until(end);
-    return;
-  }
-  sched_.run_until(end);
-}
-
-std::uint64_t World::next_packet_uid() noexcept {
-  if (ExecContext* ctx = exec_ctx(); ctx != nullptr) {
-    return ctx->exec->gated_next_uid(*ctx);
-  }
-  return next_uid_++;
-}
-
-std::uint64_t World::next_span() noexcept { return next_packet_uid(); }
-
 Node& World::add_node(std::unique_ptr<Mobility> mobility) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  ICC_ASSERT(!sched_.partitioned() ||
-                 static_cast<std::uint64_t>(id) + 1 < Scheduler::kMaxSlabs,
-             "partitioned EventId layout caps the executive at 131070 nodes");
   nodes_.push_back(std::make_unique<Node>(*this, id, std::move(mobility), config_.mac));
-  {
-    // Mobility events belong to the node they move.
-    ScopedEventOwner owner{sched_, id};
-    nodes_.back()->mobility().start(sched_);
-  }
+  nodes_.back()->mobility().start(sched_);
   bump_position_epoch();  // the spatial index must pick the node up
   return *nodes_.back();
 }
 
 void World::nodes_within(Vec2 center, double radius, std::vector<NodeId>& out) const {
-  // Worker-thread queries must stay inside the conflict radius (which is
-  // sized for tx/cs-range interactions); wider oracle queries (wormhole
-  // tunnels, test sweeps) are serial-only by construction.
-  ICC_ASSERT(exec_ctx() == nullptr || radius <= config_.tx_range,
-             "executive worker queries are bounded by tx_range");
   if (config_.spatial_grid) {
     grid_.query(center, radius, now(), out);
     return;

@@ -22,7 +22,6 @@ TEST(GoldenSignatureTest, SparseScaleWorldAtN300) {
   config.num_malicious = 0;
   config.sim_time = 7.0;
   config.seed = 2024;
-  config.sim_threads = 0;  // the serial engine, whatever ICC_SIM_THREADS says
   const BlackholeExperimentResult r = run_blackhole_experiment(config);
 
   EXPECT_EQ(r.events_executed, 210817u);

@@ -1,5 +1,5 @@
 // Churn / failure-injection integration tests: the inner-circle framework
-// under node mobility, mid-round crashes, and partitioned circles — the
+// under node mobility, mid-round crashes, and split circles — the
 // conditions §3 argues local protocols handle gracefully.
 #include <gtest/gtest.h>
 

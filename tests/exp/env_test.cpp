@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "exp/env.hpp"
 
@@ -59,6 +60,26 @@ TEST_F(EnvTest, TrailingGarbageAborts) {
 TEST_F(EnvTest, OutOfRangeAborts) {
   ::setenv("ICC_ENV_TEST", "99999999999999999999", 1);
   EXPECT_DEATH((void)env_int("ICC_ENV_TEST", 1), "not a valid integer");
+}
+
+TEST_F(EnvTest, IntListParsesAndSkipsEmptyItems) {
+  ::unsetenv("ICC_ENV_TEST");
+  EXPECT_EQ(env_int_list("ICC_ENV_TEST", "100,1000"), (std::vector<int>{100, 1000}));
+  ::setenv("ICC_ENV_TEST", "", 1);
+  EXPECT_EQ(env_int_list("ICC_ENV_TEST", "5"), (std::vector<int>{5}));
+  ::setenv("ICC_ENV_TEST", "3,,-2,", 1);
+  EXPECT_EQ(env_int_list("ICC_ENV_TEST", "5"), (std::vector<int>{3, -2}));
+}
+
+TEST_F(EnvTest, IntListItemWithGarbageAborts) {
+  // Neither may run with its numeric prefix (N=1, L=2).
+  ::setenv("ICC_ENV_TEST", "100,1x00", 1);
+  EXPECT_DEATH((void)env_int_list("ICC_ENV_TEST", "1"),
+               "ICC_ENV_TEST='100,1x00' is not a valid comma-separated integer list");
+  ::setenv("ICC_ENV_TEST", "2x", 1);
+  EXPECT_DEATH((void)env_int_list("ICC_ENV_TEST", "1"), "ICC_ENV_TEST='2x'");
+  ::setenv("ICC_ENV_TEST", "1,99999999999", 1);
+  EXPECT_DEATH((void)env_int_list("ICC_ENV_TEST", "1"), "integer list");
 }
 
 }  // namespace

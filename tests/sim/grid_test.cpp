@@ -24,7 +24,8 @@ constexpr int kNodes = 40;
 constexpr double kArea = 1200.0;
 
 /// A world of random-waypoint nodes; `spatial_grid` selects the query path.
-std::unique_ptr<World> waypoint_world(std::uint64_t seed, bool spatial_grid) {
+std::unique_ptr<World> waypoint_world(std::uint64_t seed, bool spatial_grid,
+                                      double max_speed = 20.0) {
   WorldConfig config;
   config.seed = seed;
   config.width = kArea;
@@ -37,7 +38,7 @@ std::unique_ptr<World> waypoint_world(std::uint64_t seed, bool spatial_grid) {
     params.width = kArea;
     params.height = kArea;
     params.min_speed = 1.0;
-    params.max_speed = 20.0;
+    params.max_speed = max_speed;
     params.pause = 0.0;
     world->add_node(std::make_unique<RandomWaypoint>(
         params, layout.point_in(kArea, kArea),
@@ -50,27 +51,32 @@ TEST(SpatialGrid, MatchesBruteForceUnderMotion) {
   // Same seed, opposite query paths: the two worlds follow identical
   // trajectories, so every query must agree bit for bit. 1000 steps of
   // 0.25 s cover ~40 waypoint legs per node and force the grid through
-  // thousands of slack-deadline re-bins.
-  auto grid_world = waypoint_world(17, true);
-  auto brute_world = waypoint_world(17, false);
-  Rng probes{12345};
-  for (int step = 0; step < 1000; ++step) {
-    const Time t = 0.25 * (step + 1);
-    grid_world->run_until(t);
-    brute_world->run_until(t);
-    for (NodeId id = 0; id < grid_world->num_nodes(); ++id) {
-      ASSERT_EQ(grid_world->true_neighbors(id), brute_world->true_neighbors(id))
-          << "neighbor sets diverged for node " << id << " at t=" << t;
+  // thousands of slack-deadline re-bins. At 120 m/s a node crosses a whole
+  // grid cell in a few seconds, so bins also migrate between cells every
+  // few steps.
+  for (const double max_speed : {20.0, 120.0}) {
+    SCOPED_TRACE(testing::Message() << "max_speed=" << max_speed);
+    auto grid_world = waypoint_world(17, true, max_speed);
+    auto brute_world = waypoint_world(17, false, max_speed);
+    Rng probes{12345};
+    for (int step = 0; step < 1000; ++step) {
+      const Time t = 0.25 * (step + 1);
+      grid_world->run_until(t);
+      brute_world->run_until(t);
+      for (NodeId id = 0; id < grid_world->num_nodes(); ++id) {
+        ASSERT_EQ(grid_world->true_neighbors(id), brute_world->true_neighbors(id))
+            << "neighbor sets diverged for node " << id << " at t=" << t;
+      }
+      // Arbitrary-point, arbitrary-radius queries (the Medium's delivery
+      // pattern), including radii larger than a grid cell.
+      std::vector<NodeId> a;
+      std::vector<NodeId> b;
+      const Vec2 center = probes.point_in(kArea, kArea);
+      const double radius = probes.uniform(10.0, 700.0);
+      grid_world->nodes_within(center, radius, a);
+      brute_world->nodes_within(center, radius, b);
+      ASSERT_EQ(a, b) << "point query diverged at t=" << t;
     }
-    // Arbitrary-point, arbitrary-radius queries (the Medium's delivery
-    // pattern), including radii larger than a grid cell.
-    std::vector<NodeId> a;
-    std::vector<NodeId> b;
-    const Vec2 center = probes.point_in(kArea, kArea);
-    const double radius = probes.uniform(10.0, 700.0);
-    grid_world->nodes_within(center, radius, a);
-    brute_world->nodes_within(center, radius, b);
-    ASSERT_EQ(a, b) << "point query diverged at t=" << t;
   }
 }
 

@@ -2,6 +2,7 @@
 // zero-sink fast path, and byte-identical JSONL traces for equal seeds.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -38,6 +39,24 @@ TEST(Tracer, ParseMask) {
   EXPECT_EQ(Tracer::parse_mask("all"),
             (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u);
   EXPECT_EQ(Tracer::parse_mask("bogus,unknown"), 0u);
+}
+
+// Malformed numeric trace knobs abort naming the variable: "abc" must not
+// read as 0 (health sampling silently off), nor "1k" as a one-record ring.
+TEST(TraceKnobsDeathTest, MalformedHealthIntervalAborts) {
+  ::setenv("ICC_TRACE_HEALTH", "abc", 1);
+  EXPECT_DEATH({ World world{WorldConfig{}}; },
+               "ICC_TRACE_HEALTH='abc' is not a valid number");
+  ::unsetenv("ICC_TRACE_HEALTH");
+}
+
+TEST(TraceKnobsDeathTest, MalformedFlightRecordsAborts) {
+  ::setenv("ICC_FLIGHT", "1", 1);
+  ::setenv("ICC_FLIGHT_RECORDS", "1k", 1);
+  EXPECT_DEATH({ World world{WorldConfig{}}; },
+               "ICC_FLIGHT_RECORDS='1k' is not a valid integer");
+  ::unsetenv("ICC_FLIGHT_RECORDS");
+  ::unsetenv("ICC_FLIGHT");
 }
 
 TEST(Tracer, SubscriberReceivesTypedEvents) {
