@@ -12,6 +12,7 @@
 #include "crypto/model_scheme.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/threshold_rsa.hpp"
 
 namespace {
@@ -38,6 +39,27 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+
+// One 64-byte compression per iteration through each kernel this CPU can
+// run: "portable" always, "sha_ni" where CPUID reports SHA extensions (the
+// kernel every Sha256 then uses). The label shows up in every log.
+void BM_Sha256Compress(benchmark::State& state, bool hardware) {
+  const sha256_kernels::Kernel kernel =
+      hardware ? sha256_kernels::hardware_kernel() : sha256_kernels::compress_portable;
+  if (kernel == nullptr) {
+    state.SkipWithError("no SHA-256 hardware kernel on this CPU");
+    return;
+  }
+  Sha256::State st{};
+  const std::vector<std::uint8_t> block(64, 0xAB);
+  for (auto _ : state) {
+    kernel(st, block.data(), 1);
+    benchmark::DoNotOptimize(st);
+  }
+  state.SetBytesProcessed(state.iterations() * 64);
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, portable, false);
+BENCHMARK_CAPTURE(BM_Sha256Compress, sha_ni, true);
 
 void BM_HmacSha256(benchmark::State& state) {
   Digest key{};

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   // With ICC_PROFILE set the scheduler collects wall-clock timings; report
   // the guarded run's breakdown by event category.
-  if (icc::exp::env_int("ICC_PROFILE", 0) != 0) {
+  if (icc::exp::env_flag("ICC_PROFILE")) {
     const icc::sim::SchedulerProfile& prof = guarded_result.profile;
     std::printf("\nscheduler profile (inner-circle run): %llu events, %.3f s wall, "
                 "%.0f events/s\n",

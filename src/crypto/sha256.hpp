@@ -1,5 +1,7 @@
 // SHA-256 (FIPS 180-4). Self-contained; used for message digests, HMAC, and
-// hashing into the RSA group for threshold signatures.
+// hashing into the RSA group for threshold signatures. Blocks are compressed
+// by the kernel CPUID selects (sha256_kernels.hpp): SHA-NI where the CPU has
+// it, the portable loop otherwise, with identical results.
 #pragma once
 
 #include <array>
@@ -39,8 +41,6 @@ class Sha256 {
   static Digest hash(std::string_view s);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   State state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_len_{0};

@@ -22,6 +22,7 @@ namespace icc::exp {
 // knobs.
 using sim::env_double;
 using sim::env_fail;
+using sim::env_flag;
 using sim::env_int;
 using sim::env_string;
 using sim::env_string_if_set;

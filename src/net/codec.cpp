@@ -695,7 +695,7 @@ void attach_sim_codec(sim::World& world) {
 }
 
 std::function<void(sim::World&)> codec_hook_from_env() {
-  if (exp::env_int("ICC_NET_CODEC", 0) == 0) return {};
+  if (!exp::env_flag("ICC_NET_CODEC")) return {};
   return [](sim::World& world) { attach_sim_codec(world); };
 }
 

@@ -4,7 +4,8 @@
 // ICC_TRACE_HEALTH=abc) aborts with a message naming the variable instead of
 // silently truncating to a numeric prefix the way atoi/strtod would — a
 // typo'd knob must never launch a multi-hour campaign, or a traced run, with
-// the wrong parameters. Unset and empty variables take the fallback.
+// the wrong parameters. Unset and empty variables take the fallback. On/off
+// knobs (ICC_FLIGHT, ICC_PROFILE, ...) accept exactly 0 and 1.
 //
 // Lives in the sim vocabulary layer so the simulator's own knobs (tracing,
 // health sampling, profiling) parse exactly like the benches' (exp/env.hpp
@@ -76,10 +77,13 @@ inline std::string env_string_if_set(const char* name, const char* fallback) {
   return std::string{v != nullptr ? v : fallback};
 }
 
-/// On/off switch: on when set to anything but "" or "0".
+/// On/off switch: unset, empty or "0" is off, "1" is on, anything else
+/// aborts — "false" or "off" must not arm what it names.
 inline bool env_flag(const char* name) {
   const char* v = env_raw(name);
-  return v != nullptr && std::strcmp(v, "0") != 0;
+  if (v == nullptr || std::strcmp(v, "0") == 0) return false;
+  if (std::strcmp(v, "1") != 0) env_fail(name, v, "on/off flag (0 or 1)");
+  return true;
 }
 
 }  // namespace icc::sim

@@ -210,12 +210,21 @@ std::uint32_t Tracer::parse_mask(const char* spec) {
     const auto comma = rest.find(',');
     std::string_view token = rest.substr(0, comma);
     rest = comma == std::string_view::npos ? std::string_view{} : rest.substr(comma + 1);
+    if (token.empty()) continue;
     if (token == "all") {
-      return (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
+      mask |= (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
+      continue;
     }
-    for (std::size_t c = 0; c < kCategoryNames.size(); ++c) {
-      if (token == kCategoryNames[c]) mask |= 1u << c;
+    std::size_t c = 0;
+    while (c < kCategoryNames.size() && token != kCategoryNames[c]) ++c;
+    if (c == kCategoryNames.size()) {
+      std::string want = "trace category list: unknown category '";
+      want.append(token).append("' (valid: all");
+      for (const char* name : kCategoryNames) want.append(", ").append(name);
+      want += ")";
+      env_fail("ICC_TRACE", spec, want.c_str());
     }
+    mask |= 1u << c;
   }
   return mask;
 }

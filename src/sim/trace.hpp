@@ -182,8 +182,10 @@ class Tracer {
   /// harmless to call on an already-set-up tracer.
   void configure_from_env();
 
-  /// `spec` is a comma-separated category list ("packet,voting") or "all";
-  /// unknown names are ignored, empty spec yields 0.
+  /// `spec` is an ICC_TRACE value: a comma-separated category list
+  /// ("packet,voting") or "all"; empty spec yields 0. An unknown name aborts
+  /// via env_fail, naming it and listing the valid ones — a typo must not
+  /// silently run untraced.
   static std::uint32_t parse_mask(const char* spec);
 
   void set_mask(std::uint32_t mask) noexcept { mask_ = mask; }

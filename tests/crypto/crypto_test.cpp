@@ -14,6 +14,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/shamir.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/shoup_scheme.hpp"
 #include "crypto/threshold_rsa.hpp"
 
@@ -66,6 +67,98 @@ TEST(Sha256, LongMessagePaddingBoundaries) {
     const Digest d1 = a.finish();
     const Digest d2 = Sha256::hash(m);
     EXPECT_EQ(d1, d2) << len;
+  }
+}
+
+// ------------------------------------------------- SHA-256 compression kernels
+
+namespace kernels = sha256_kernels;
+
+// Pads `msg` (FIPS 180-4 §5.1.1) and hashes it with `kernel` alone, so a
+// kernel is checked against the published vectors without Sha256's own
+// buffering in between.
+std::string hash_with(kernels::Kernel kernel, std::string_view msg) {
+  std::vector<std::uint8_t> padded{msg.begin(), msg.end()};
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  Sha256::State state = Sha256{}.state();  // the FIPS 180-4 initial hash value
+  kernel(state, padded.data(), padded.size() / 64);
+  Digest out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return to_hex(out);
+}
+
+void expect_fips_vectors(kernels::Kernel kernel) {
+  EXPECT_EQ(hash_with(kernel, ""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hash_with(kernel, "abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hash_with(kernel, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hash_with(kernel, std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+Sha256::State random_state(std::mt19937_64& eng) {
+  Sha256::State s{};
+  for (std::uint32_t& w : s) w = static_cast<std::uint32_t>(eng());
+  return s;
+}
+
+std::vector<std::uint8_t> random_blocks(std::mt19937_64& eng, std::size_t n) {
+  std::vector<std::uint8_t> out(64 * n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(eng());
+  return out;
+}
+
+// Where hardware_kernel() is null the hardware tests skip, visibly: every
+// hash then runs the portable kernel, which PortableFips180Vectors and the
+// Sha256/Hmac vector tests cover.
+constexpr const char* kNoHardwareKernel =
+    "no SHA-256 hardware kernel on this CPU/build; the portable kernel is in use";
+
+TEST(Sha256Kernel, PortableFips180Vectors) { expect_fips_vectors(kernels::compress_portable); }
+
+TEST(Sha256Kernel, HardwareFips180Vectors) {
+  const kernels::Kernel hw = kernels::hardware_kernel();
+  if (hw == nullptr) GTEST_SKIP() << kNoHardwareKernel;
+  expect_fips_vectors(hw);
+}
+
+TEST(Sha256Kernel, HardwareMatchesPortableOnRandomBlocks) {
+  const kernels::Kernel hw = kernels::hardware_kernel();
+  if (hw == nullptr) GTEST_SKIP() << kNoHardwareKernel;
+  std::mt19937_64 eng{20050628};
+  for (int trial = 0; trial < 10000; ++trial) {
+    const Sha256::State start = random_state(eng);
+    const std::vector<std::uint8_t> block = random_blocks(eng, 1);
+    Sha256::State want = start;
+    kernels::compress_portable(want, block.data(), 1);
+    Sha256::State got = start;
+    hw(got, block.data(), 1);
+    ASSERT_EQ(got, want) << "trial " << trial;
+  }
+}
+
+TEST(Sha256Kernel, HardwareMatchesPortableOnMultiBlockRuns) {
+  const kernels::Kernel hw = kernels::hardware_kernel();
+  if (hw == nullptr) GTEST_SKIP() << kNoHardwareKernel;
+  std::mt19937_64 eng{1208};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(eng() % 17);
+    const Sha256::State start = random_state(eng);
+    const std::vector<std::uint8_t> data = random_blocks(eng, n);
+    Sha256::State want = start;
+    kernels::compress_portable(want, data.data(), n);
+    Sha256::State got = start;
+    hw(got, data.data(), n);
+    ASSERT_EQ(got, want) << "trial " << trial << ", " << n << " blocks";
   }
 }
 

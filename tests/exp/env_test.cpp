@@ -62,6 +62,26 @@ TEST_F(EnvTest, OutOfRangeAborts) {
   EXPECT_DEATH((void)env_int("ICC_ENV_TEST", 1), "not a valid integer");
 }
 
+TEST_F(EnvTest, FlagIsOffUnlessExactlyOne) {
+  ::unsetenv("ICC_ENV_TEST");
+  EXPECT_FALSE(env_flag("ICC_ENV_TEST"));
+  ::setenv("ICC_ENV_TEST", "", 1);
+  EXPECT_FALSE(env_flag("ICC_ENV_TEST"));
+  ::setenv("ICC_ENV_TEST", "0", 1);
+  EXPECT_FALSE(env_flag("ICC_ENV_TEST"));
+  ::setenv("ICC_ENV_TEST", "1", 1);
+  EXPECT_TRUE(env_flag("ICC_ENV_TEST"));
+}
+
+TEST_F(EnvTest, FlagOtherThanZeroOrOneAborts) {
+  // None of these may arm what the knob names, nor silently read as off.
+  for (const char* bad : {"false", "yes", "on", "2", "01", " 1"}) {
+    ::setenv("ICC_ENV_TEST", bad, 1);
+    EXPECT_DEATH((void)env_flag("ICC_ENV_TEST"), "is not a valid on/off flag \\(0 or 1\\)")
+        << bad;
+  }
+}
+
 TEST_F(EnvTest, IntListParsesAndSkipsEmptyItems) {
   ::unsetenv("ICC_ENV_TEST");
   EXPECT_EQ(env_int_list("ICC_ENV_TEST", "100,1000"), (std::vector<int>{100, 1000}));

@@ -38,7 +38,7 @@ TEST(Tracer, ParseMask) {
                 (1u << static_cast<unsigned>(TraceCategory::kVoting)));
   EXPECT_EQ(Tracer::parse_mask("all"),
             (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u);
-  EXPECT_EQ(Tracer::parse_mask("bogus,unknown"), 0u);
+  EXPECT_EQ(Tracer::parse_mask("packet,,voting,"), Tracer::parse_mask("packet,voting"));
 }
 
 // Malformed numeric trace knobs abort naming the variable: "abc" must not
@@ -57,6 +57,35 @@ TEST(TraceKnobsDeathTest, MalformedFlightRecordsAborts) {
                "ICC_FLIGHT_RECORDS='1k' is not a valid integer");
   ::unsetenv("ICC_FLIGHT_RECORDS");
   ::unsetenv("ICC_FLIGHT");
+}
+
+// An unknown category aborts naming it and listing the valid ones, so a
+// typo ("pakcet") cannot run untraced without a word.
+TEST(TraceKnobsDeathTest, UnknownCategoryAborts) {
+  ::setenv("ICC_TRACE", "packet,pakcet", 1);
+  EXPECT_DEATH({ World world{WorldConfig{}}; },
+               "ICC_TRACE='packet,pakcet' is not a valid trace category list: unknown "
+               "category 'pakcet' \\(valid: all, packet, mac, route, voting, watchdog, "
+               "fusion, energy, fault, suspicion, health\\)");
+  ::unsetenv("ICC_TRACE");
+  EXPECT_DEATH((void)Tracer::parse_mask("bogus"), "unknown category 'bogus'");
+  EXPECT_DEATH((void)Tracer::parse_mask("all,bogus"), "unknown category 'bogus'");
+}
+
+// On/off knobs accept exactly 0 and 1: "false" must not arm the flight
+// recorder, nor "yes" the profiler.
+TEST(TraceKnobsDeathTest, FlightFalseAborts) {
+  ::setenv("ICC_FLIGHT", "false", 1);
+  EXPECT_DEATH({ World world{WorldConfig{}}; },
+               "ICC_FLIGHT='false' is not a valid on/off flag");
+  ::unsetenv("ICC_FLIGHT");
+}
+
+TEST(TraceKnobsDeathTest, ProfileYesAborts) {
+  ::setenv("ICC_PROFILE", "yes", 1);
+  EXPECT_DEATH({ World world{WorldConfig{}}; },
+               "ICC_PROFILE='yes' is not a valid on/off flag");
+  ::unsetenv("ICC_PROFILE");
 }
 
 TEST(Tracer, SubscriberReceivesTypedEvents) {
