@@ -16,13 +16,7 @@ constexpr std::uint32_t kDataHeaderBytes = 20;
 Aodv::Aodv(net::Host& node, Params params)
     : node_{node},
       params_{params},
-      rng_{node.fork_rng(kAodvRngSalt + node.id())},
-      m_data_originated_{node.metrics().counter_id("aodv.data_originated")},
-      m_data_forwarded_{node.metrics().counter_id("aodv.data_forwarded")},
-      m_data_delivered_{node.metrics().counter_id("aodv.data_delivered")},
-      m_data_dropped_no_route_{node.metrics().counter_id("aodv.data_dropped_no_route")},
-      m_rreq_sent_{node.metrics().counter_id("aodv.rreq_sent")},
-      m_rrep_sent_{node.metrics().counter_id("aodv.rrep_sent")} {
+      rng_{node.fork_rng(kAodvRngSalt + node.id())} {
   node_.transport().register_handler(sim::Port::kAodv, [this](const sim::Packet& p, sim::NodeId from) {
     handle_packet(p, from);
   });
@@ -137,7 +131,7 @@ void Aodv::forward_data(const sim::Packet& packet, const DataMsg&) {
     PendingDiscovery& pending = pending_[dest];
     if (pending.buffered.size() >= params_.buffer_capacity) {
       pending.buffered.pop_front();
-      node_.stats().add("aodv.buffer_overflow");
+      node_.metrics().add(m_buffer_overflow_);
     }
     pending.buffered.push_back(packet);
     if (pending.attempts == 0) {
@@ -265,7 +259,7 @@ void Aodv::drop_buffered(sim::NodeId dest) {
   const auto it = pending_.find(dest);
   if (it == pending_.end()) return;
   node_.clock().cancel(it->second.retry_event);
-  node_.stats().add("aodv.discovery_failed");
+  node_.metrics().add(m_discovery_failed_);
   node_.metrics().add(m_data_dropped_no_route_,
                               static_cast<double>(it->second.buffered.size()));
   node_.tracer().emit({now(), sim::TraceType::kRouteDiscoveryFailed, node_.id(), dest,
@@ -330,7 +324,7 @@ void Aodv::handle_rreq(const RreqMsg& rreq, sim::NodeId from) {
       rrep.dest_seq = it->second.dest_seq;
       rrep.orig = rreq.orig;
       rrep.hop_count = it->second.hop_count;
-      node_.stats().add("aodv.intermediate_rrep");
+      node_.metrics().add(m_intermediate_rrep_);
       send_rrep_towards(rrep);
       return;
     }
@@ -354,7 +348,7 @@ void Aodv::send_rrep_towards(const RrepMsg& rrep) {
   // Unicast along the reverse route to the requester.
   const auto it = routes_.find(rrep.orig);
   if (it == routes_.end() || !it->second.valid) {
-    node_.stats().add("aodv.rrep_no_reverse_route");
+    node_.metrics().add(m_rrep_no_reverse_route_);
     return;
   }
   sim::Packet packet;
@@ -414,7 +408,7 @@ void Aodv::on_link_failure(const sim::Packet& packet, sim::NodeId next_hop) {
   // Only react to data-plane failures; control messages have their own
   // retry/timeout logic.
   if (packet.body_as<DataMsg>() == nullptr) return;
-  node_.stats().add("aodv.link_failures");
+  node_.metrics().add(m_link_failures_);
   // MAC retry exhaustion arrives via timer, outside any reception scope: the
   // RERR flood and salvage rediscovery below descend from the failed packet.
   net::LineageScope lineage{node_, packet.uid};

@@ -101,13 +101,17 @@ class Aodv {
   sim::Rng rng_;
   DeliverHandler deliver_;
 
-  // Interned ids for the data-plane counters hit on every packet.
-  sim::MetricId m_data_originated_;
-  sim::MetricId m_data_forwarded_;
-  sim::MetricId m_data_delivered_;
-  sim::MetricId m_data_dropped_no_route_;
-  sim::MetricId m_rreq_sent_;
-  sim::MetricId m_rrep_sent_;
+  sim::CounterHandle m_data_originated_{"aodv.data_originated"};
+  sim::CounterHandle m_data_forwarded_{"aodv.data_forwarded"};
+  sim::CounterHandle m_data_delivered_{"aodv.data_delivered"};
+  sim::CounterHandle m_data_dropped_no_route_{"aodv.data_dropped_no_route"};
+  sim::CounterHandle m_buffer_overflow_{"aodv.buffer_overflow"};
+  sim::CounterHandle m_rreq_sent_{"aodv.rreq_sent"};
+  sim::CounterHandle m_rrep_sent_{"aodv.rrep_sent"};
+  sim::CounterHandle m_intermediate_rrep_{"aodv.intermediate_rrep"};
+  sim::CounterHandle m_rrep_no_reverse_route_{"aodv.rrep_no_reverse_route"};
+  sim::CounterHandle m_discovery_failed_{"aodv.discovery_failed"};
+  sim::CounterHandle m_link_failures_{"aodv.link_failures"};
 
   std::uint32_t own_seq_{1};
   std::uint32_t next_rreq_id_{1};

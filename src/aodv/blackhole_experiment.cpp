@@ -141,31 +141,32 @@ BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConf
 
   world.run_until(config.sim_time);
 
+  const sim::MetricsRegistry& metrics = world.metrics();
+  const auto count = [&metrics](const std::string& name) {
+    return static_cast<std::uint64_t>(metrics.counter_value(name));
+  };
   BlackholeExperimentResult result;
-  result.packets_sent = static_cast<std::uint64_t>(world.stats().get("cbr.sent"));
-  result.packets_received = static_cast<std::uint64_t>(world.stats().get("cbr.received"));
+  result.packets_sent = count("cbr.sent");
+  result.packets_received = count("cbr.received");
   result.throughput = result.packets_sent
                           ? static_cast<double>(result.packets_received) /
                                 static_cast<double>(result.packets_sent)
                           : 0.0;
   result.mean_energy_j = world.mean_energy_joules();
-  result.mean_latency_s = world.stats().samples("cbr.latency").mean();
-  result.blackhole_dropped =
-      static_cast<std::uint64_t>(world.stats().get("blackhole.data_dropped"));
-  result.raw_rreps_suppressed =
-      static_cast<std::uint64_t>(world.stats().get("icc.suppressed_raw"));
-  result.voting_rounds = static_cast<std::uint64_t>(world.stats().get("ivs.rounds_started"));
-  result.watchdog_blacklisted =
-      static_cast<std::uint64_t>(world.stats().get("watchdog.blacklisted"));
+  result.mean_latency_s = metrics.series_by_name("cbr.latency").mean();
+  result.blackhole_dropped = count("blackhole.data_dropped");
+  result.raw_rreps_suppressed = count("icc.suppressed_raw");
+  result.voting_rounds = count("ivs.rounds_started");
+  result.watchdog_blacklisted = count("watchdog.blacklisted");
   result.mac_collisions = world.medium().collisions();
-  result.rreq_sent = static_cast<std::uint64_t>(world.stats().get("aodv.rreq_sent"));
-  result.rrep_sent = static_cast<std::uint64_t>(world.stats().get("aodv.rrep_sent"));
+  result.rreq_sent = count("aodv.rreq_sent");
+  result.rrep_sent = count("aodv.rrep_sent");
   result.control_packets = result.rreq_sent + result.rrep_sent;
   for (std::size_t k = 0; k < fault::kNumAttackKinds; ++k) {
     const auto kind = static_cast<fault::AttackKind>(k);
     if (!fault::attack_kind_booked(kind)) continue;
-    result.attack_kind_injected[k] = static_cast<std::uint64_t>(
-        world.stats().get(std::string("fault.kind.") + fault::attack_kind_name(kind)));
+    result.attack_kind_injected[k] =
+        count(std::string("fault.kind.") + fault::attack_kind_name(kind));
   }
   result.events_executed = world.sched().executed();
   result.frames_sent = world.medium().frames_sent();

@@ -63,6 +63,7 @@ class AodvGuard {
   core::InnerCircleNode& icc_;
   SecParams sec_;
   sim::Time entry_lifetime_;
+  sim::CounterHandle m_sec_rejected_{"guard.sec_rejected"};
 
   struct FwEntry {
     std::set<sim::NodeId> forwarders;

@@ -62,8 +62,15 @@ class MisbehaviorAodv final : public Aodv {
   fault::ProtocolFault spec_;
   sim::Rng attack_rng_;
   std::optional<std::pair<RrepMsg, sim::NodeId>> last_rrep_;  ///< replay ammo
-  sim::MetricId m_rrep_forged_;
-  sim::MetricId m_data_dropped_;
+  // The legacy "blackhole.*" names stay: fig7 tables, the demo, and the
+  // coverage ledger all read these counters.
+  sim::CounterHandle m_rrep_forged_{"blackhole.rrep_sent"};
+  sim::CounterHandle m_data_dropped_{"blackhole.data_dropped"};
+  sim::CounterHandle m_data_diverted_{"misbehavior.data_diverted"};
+  sim::CounterHandle m_data_misrouted_{"misbehavior.data_misrouted"};
+  sim::CounterHandle m_data_delayed_{"misbehavior.data_delayed"};
+  sim::CounterHandle m_rrep_replayed_{"misbehavior.rrep_replayed"};
+  sim::CounterHandle m_rreq_flooded_{"misbehavior.rreq_flooded"};
   sim::MetricId m_data_dropped_node_;
   sim::MetricId m_kind_{};  ///< interned only when kind_booked_
   bool kind_booked_{false};

@@ -9,10 +9,7 @@ namespace icc::aodv {
 
 Watchdog::Watchdog(Aodv& aodv, Params params)
     : aodv_{aodv},
-      params_{params},
-      m_failures_{aodv.node().metrics().counter_id("watchdog.failures")},
-      m_blacklisted_{aodv.node().metrics().counter_id("watchdog.blacklisted")},
-      m_rrep_suppressed_{aodv.node().metrics().counter_id("watchdog.rrep_suppressed")} {
+      params_{params} {
   net::Host& node = aodv_.node();
 
   // Observe our own data transmissions that require onward forwarding.

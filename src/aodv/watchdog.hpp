@@ -59,12 +59,9 @@ class Watchdog {
   std::unordered_map<sim::NodeId, std::vector<sim::Time>> failures_;
   std::set<sim::NodeId> blacklist_;
   std::uint64_t failures_charged_{0};
-  // Interned once so the hot paths (every charge / suppressed RREP) skip the
-  // registry's name lookup, and so these counters share the registry that
-  // the coverage ledger and experiment tables read.
-  sim::MetricId m_failures_;
-  sim::MetricId m_blacklisted_;
-  sim::MetricId m_rrep_suppressed_;
+  sim::CounterHandle m_failures_{"watchdog.failures"};
+  sim::CounterHandle m_blacklisted_{"watchdog.blacklisted"};
+  sim::CounterHandle m_rrep_suppressed_{"watchdog.rrep_suppressed"};
 };
 
 }  // namespace icc::aodv

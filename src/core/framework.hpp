@@ -100,6 +100,10 @@ class InnerCircleNode {
   IvsService ivs_;
   std::vector<InterceptRule> outgoing_rules_;
   std::vector<IncomingMatcher> incoming_rules_;
+  sim::CounterHandle m_outgoing_intercepted_{"icc.outgoing_intercepted"};
+  sim::CounterHandle m_suppressed_convicted_{"icc.suppressed_convicted"};
+  sim::CounterHandle m_suppressed_suspected_{"icc.suppressed_suspected"};
+  sim::CounterHandle m_suppressed_raw_{"icc.suppressed_raw"};
 };
 
 }  // namespace icc::core

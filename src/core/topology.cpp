@@ -120,7 +120,7 @@ void SecureTopologyService::send_beacon() {
   packet.size_bytes = static_cast<std::uint32_t>(24 + 36 * beacon->neighbors.size());
   packet.body = beacon;
   node_.transport().send_unfiltered(std::move(packet), sim::kBroadcast);
-  node_.stats().add("sts.beacons_sent");
+  node_.metrics().add(m_beacons_sent_);
 
   const double jitter = rng_.uniform(0.9, 1.1);
   node_.clock().schedule_in(params_.period * jitter, [this] { send_beacon(); },
@@ -166,7 +166,7 @@ void SecureTopologyService::handle_beacon(const StsBeacon& beacon, sim::NodeId /
     // only on our side (lost message 3), or the beacon is forged. Keep the
     // link but do not refresh it from this beacon; once the link has gone
     // stale, restart authentication from scratch.
-    node_.stats().add("sts.beacons_unverified");
+    node_.metrics().add(m_beacons_unverified_);
     if (now() - peer.last_heard > params_.delta_sts) {
       peer.authenticated = false;
       peer.handshake.reset();
@@ -179,7 +179,7 @@ void SecureTopologyService::handle_beacon(const StsBeacon& beacon, sim::NodeId /
   peer.pos_known = true;
   peer.claimed_neighbors = beacon.neighbors;
   peer.claim_time = now();
-  node_.stats().add("sts.beacons_accepted");
+  node_.metrics().add(m_beacons_accepted_);
 }
 
 void SecureTopologyService::maybe_begin_handshake(sim::NodeId peer_id) {
@@ -206,7 +206,7 @@ void SecureTopologyService::send_nsl(sim::NodeId to, int phase, crypto::Cipherte
   packet.size_bytes = static_cast<std::uint32_t>(12 + msg->ct.data.size() + 36);
   packet.body = std::move(msg);
   node_.transport().send_unfiltered(std::move(packet), to);
-  node_.stats().add("sts.nsl_sent");
+  node_.metrics().add(m_nsl_sent_);
 }
 
 void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
@@ -237,7 +237,7 @@ void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
       peer.mac_key = crypto::HmacKey{peer.key};
       peer.last_heard = t;  // the handshake itself is authenticated contact
       peer.handshake.reset();
-      node_.stats().add("sts.handshakes_completed");
+      node_.metrics().add(m_handshakes_completed_);
       break;
     }
     case 3: {
@@ -250,7 +250,7 @@ void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
       peer.mac_key = crypto::HmacKey{peer.key};
       peer.last_heard = t;
       peer.handshake.reset();
-      node_.stats().add("sts.handshakes_completed");
+      node_.metrics().add(m_handshakes_completed_);
       break;
     }
     default:

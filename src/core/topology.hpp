@@ -92,6 +92,11 @@ class SecureTopologyService {
   const crypto::AsymmetricCipher& cipher_;
   sim::Rng rng_;
   std::uint64_t beacon_seq_{0};
+  sim::CounterHandle m_beacons_sent_{"sts.beacons_sent"};
+  sim::CounterHandle m_beacons_unverified_{"sts.beacons_unverified"};
+  sim::CounterHandle m_beacons_accepted_{"sts.beacons_accepted"};
+  sim::CounterHandle m_nsl_sent_{"sts.nsl_sent"};
+  sim::CounterHandle m_handshakes_completed_{"sts.handshakes_completed"};
   // Ordered deliberately: send_beacon iterates peers_ to assemble the
   // beacon's neighbor list (wire bytes) and inner_circle feeds voting-round
   // membership, so iteration order is simulation-affecting. std::map keys

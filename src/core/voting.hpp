@@ -116,6 +116,15 @@ class IvsService {
   std::unique_ptr<crypto::NodeSigner> node_signer_;
   Callbacks& callbacks_;
 
+  sim::CounterHandle m_rounds_started_{"ivs.rounds_started"};
+  sim::CounterHandle m_rounds_aborted_{"ivs.rounds_aborted"};
+  sim::CounterHandle m_rounds_completed_{"ivs.rounds_completed"};
+  sim::CounterHandle m_check_rejected_{"ivs.check_rejected"};
+  sim::CounterHandle m_fusion_rejected_{"ivs.fusion_rejected"};
+  sim::CounterHandle m_acks_sent_{"ivs.acks_sent"};
+  sim::CounterHandle m_agreed_rejected_{"ivs.agreed_rejected"};
+  sim::CounterHandle m_agreed_delivered_{"ivs.agreed_delivered"};
+
   std::uint64_t next_round_{1};
   /// Rounds we center. Keyed access only, but ordered so any future sweep
   /// (abort-all, diagnostics dumps) visits rounds in id order instead of

@@ -57,18 +57,7 @@ InjectionEngine::InjectionEngine(sim::World& world, FaultPlan plan, InjectionOpt
   }
   const bool any_noise = std::any_of(plan_.channel.begin(), plan_.channel.end(),
                                      [](const ChannelFault& f) { return f.noise_prob > 0.0; });
-  if (any_noise) {
-    auto& metrics = world_.metrics();
-    m_noise_seen_ = metrics.counter_id("fault.noise.frames_seen");
-    m_noise_corrupted_ = metrics.counter_id("fault.noise.corrupted");
-    m_kind_noise_ = metrics.counter_id("fault.kind.noise");
-    m_noise_budget_used_ = metrics.gauge_id("fault.noise.budget_used");
-  }
-  if (!plan_.wormhole.empty()) {
-    auto& metrics = world_.metrics();
-    m_wormhole_tunneled_ = metrics.counter_id("fault.wormhole.tunneled");
-    m_kind_wormhole_ = metrics.counter_id("fault.kind.wormhole");
-  }
+  if (any_noise) m_noise_budget_used_ = world_.metrics().gauge_id("fault.noise.budget_used");
 
   bool any_slow = false;
   for (std::size_t i = 0; i < plan_.node.size(); ++i) {
@@ -244,7 +233,7 @@ void InjectionEngine::replay_at(const sim::Frame& frame, sim::NodeId near_end,
       // transmitter too far away to be physically audible, so the receiver
       // rejects it. Booked as one detection per tunneled frame, matching
       // the one injection the capture booked.
-      world_.stats().add("fault.wormhole.leash_rejected");
+      world_.metrics().add(m_wormhole_leash_rejected_);
       if (!leash_booked) {
         leash_booked = true;
         report_detected(world_, FaultClass::kProtocol, near_end, 0, inj_span);

@@ -123,14 +123,16 @@ class InjectionEngine {
   /// Replay receiver candidates; member so the per-frame path does not
   /// allocate.
   std::vector<sim::NodeId> wormhole_scratch_;
-  // Interned only when the plan carries the matching specs, so legacy plans
-  // leave the metric registry — and frozen run reports — untouched.
-  sim::MetricId m_noise_seen_{};
-  sim::MetricId m_noise_corrupted_{};
-  sim::MetricId m_kind_noise_{};
+  // Counters exist from their first write and the gauge is interned only
+  // when the plan carries noise, so plans without these specs leave the
+  // metric registry — and frozen run reports — untouched.
+  sim::CounterHandle m_noise_seen_{"fault.noise.frames_seen"};
+  sim::CounterHandle m_noise_corrupted_{"fault.noise.corrupted"};
+  sim::CounterHandle m_kind_noise_{"fault.kind.noise"};
   sim::MetricId m_noise_budget_used_{};
-  sim::MetricId m_wormhole_tunneled_{};
-  sim::MetricId m_kind_wormhole_{};
+  sim::CounterHandle m_wormhole_tunneled_{"fault.wormhole.tunneled"};
+  sim::CounterHandle m_wormhole_leash_rejected_{"fault.wormhole.leash_rejected"};
+  sim::CounterHandle m_kind_wormhole_{"fault.kind.wormhole"};
 };
 
 }  // namespace icc::fault

@@ -16,8 +16,8 @@
 #include "net/clock.hpp"
 #include "net/transport.hpp"
 #include "sim/energy.hpp"
+#include "sim/metrics.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/vec2.hpp"
 
@@ -26,7 +26,6 @@ namespace icc::net {
 using sim::EnergyMeter;
 using sim::MetricsRegistry;
 using sim::Rng;
-using sim::Stats;
 using sim::Tracer;
 using sim::Vec2;
 
@@ -36,8 +35,7 @@ class Services {
  public:
   virtual ~Services() = default;
 
-  virtual Stats& stats() noexcept = 0;
-  /// Interned-id registry backing stats(); hot paths update through this.
+  /// The run's metrics registry (sim/metrics.hpp).
   virtual MetricsRegistry& metrics() noexcept = 0;
   /// Structured event tracing.
   virtual Tracer& tracer() noexcept = 0;

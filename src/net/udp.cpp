@@ -43,12 +43,7 @@ UdpHost::UdpHost(UdpConfig config)
     : config_{config},
       clock_{config.epoch_unix_us},
       rng_{config.seed},
-      next_uid_{((static_cast<std::uint64_t>(config.id) + 1) << 40) | 1},
-      outbound_dropped_id_{metrics().counter_id("node.outbound_dropped")},
-      inbound_dropped_id_{metrics().counter_id("node.inbound_dropped")},
-      tx_frames_id_{metrics().counter_id("net.udp.tx_frames")},
-      rx_frames_id_{metrics().counter_id("net.udp.rx_frames")},
-      rx_rejected_id_{metrics().counter_id("net.udp.rx_rejected")} {
+      next_uid_{((static_cast<std::uint64_t>(config.id) + 1) << 40) | 1} {
   if (config_.num_nodes <= config_.id) fatal("node id outside the testnet size");
   // Env knobs override the config defaults; strict-parsed so a typo'd value
   // kills the node at startup rather than running an unimpaired testnet that
@@ -94,7 +89,7 @@ void UdpHost::send(sim::Packet packet, sim::NodeId next_hop) {
       case FilterVerdict::kPass:
         break;
       case FilterVerdict::kDrop:
-        metrics().add(outbound_dropped_id_);
+        metrics_.add(m_outbound_dropped_);
         tracer_.emit({now(), sim::TraceType::kPacketDrop, id(), next_hop, packet.uid,
                       packet.size_bytes, 0.0, "outbound_filter", packet.uid, packet.parent});
         return;
@@ -112,13 +107,13 @@ void UdpHost::send_unfiltered(sim::Packet packet, sim::NodeId next_hop) {
   frame.rx = next_hop;
   frame.packet = std::move(packet);
   if (!encode_frame(frame, tx_scratch_)) {
-    stats_.add("net.udp.uncodable");
+    metrics_.add(m_uncodable_);
     return;
   }
   tracer_.emit({now(), sim::TraceType::kPacketTx, id(), frame.rx, frame.packet.uid,
                 frame.packet.size_bytes, 0.0, nullptr, frame.packet.uid,
                 frame.packet.parent});
-  metrics().add(tx_frames_id_);
+  metrics_.add(m_tx_frames_);
   broadcast_bytes(tx_scratch_);
 }
 
@@ -128,7 +123,7 @@ void UdpHost::broadcast_bytes(const std::vector<std::uint8_t>& bytes) {
   for (std::size_t peer = 0; peer < config_.num_nodes; ++peer) {
     if (peer == config_.id) continue;
     if (config_.fault_loss > 0.0 && fault_rng_.chance(config_.fault_loss)) {
-      stats_.add("net.udp.fault_dropped");
+      metrics_.add(m_fault_dropped_);
       continue;
     }
     if (config_.fault_reorder > 0.0 && !holding_ && fault_rng_.chance(config_.fault_reorder)) {
@@ -137,7 +132,7 @@ void UdpHost::broadcast_bytes(const std::vector<std::uint8_t>& bytes) {
       held_datagram_ = bytes;
       held_peer_ = peer;
       holding_ = true;
-      stats_.add("net.udp.fault_reordered");
+      metrics_.add(m_fault_reordered_);
       continue;
     }
     send_datagram(peer, bytes);
@@ -156,7 +151,7 @@ void UdpHost::send_datagram(std::size_t peer, const std::vector<std::uint8_t>& b
     const ssize_t n = ::sendto(fd_, bytes.data(), bytes.size(), 0,
                                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
     if (n >= 0) {
-      if (attempt > 0) stats_.add("net.udp.tx_retries", static_cast<double>(attempt));
+      if (attempt > 0) metrics_.add(m_tx_retries_, static_cast<double>(attempt));
       return;
     }
     const bool transient =
@@ -164,7 +159,7 @@ void UdpHost::send_datagram(std::size_t peer, const std::vector<std::uint8_t>& b
     if (!transient || attempt >= 6) {
       // Radios lose frames; so can we. Count it and keep serving — a burst
       // of ENOBUFS must not kill a daemon that will be fine in a millisecond.
-      stats_.add("net.udp.tx_failed");
+      metrics_.add(m_tx_failed_);
       return;
     }
     ::usleep(static_cast<useconds_t>(backoff_us));
@@ -199,11 +194,11 @@ void UdpHost::drain_socket() {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       return;  // transient socket error: drop and keep serving
     }
-    metrics().add(rx_frames_id_);
+    metrics_.add(m_rx_frames_);
     const DecodeResult decoded =
         decode_frame(std::span{rx_scratch_.data(), static_cast<std::size_t>(n)});
     if (!decoded) {
-      metrics().add(rx_rejected_id_);
+      metrics_.add(m_rx_rejected_);
       tracer_.emit({now(), sim::TraceType::kPacketDrop, id(), sim::kNoNode, 0, 0, 0.0,
                     decode_error_name(decoded.error)});
       continue;
@@ -229,7 +224,7 @@ void UdpHost::dispatch(const sim::Frame& frame) {
       case FilterVerdict::kPass:
         break;
       case FilterVerdict::kDrop:
-        metrics().add(inbound_dropped_id_);
+        metrics_.add(m_inbound_dropped_);
         tracer_.emit({now(), sim::TraceType::kPacketDrop, id(), frame.tx, packet.uid,
                       packet.size_bytes, 0.0, "inbound_filter", packet.uid, packet.parent});
         return;

@@ -20,8 +20,8 @@
 
 #include "net/host.hpp"
 #include "net/steady_clock.hpp"
+#include "sim/metrics.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace icc::net {
@@ -51,8 +51,7 @@ class UdpHost final : public Host, public Transport {
   UdpHost& operator=(const UdpHost&) = delete;
 
   // --- Services ---
-  Stats& stats() noexcept override { return stats_; }
-  MetricsRegistry& metrics() noexcept override { return stats_.registry(); }
+  MetricsRegistry& metrics() noexcept override { return metrics_; }
   Tracer& tracer() noexcept override { return tracer_; }
   [[nodiscard]] Time now() const noexcept override { return clock_.now(); }
   [[nodiscard]] Rng fork_rng(std::uint64_t salt) override { return rng_.fork(salt); }
@@ -104,8 +103,9 @@ class UdpHost final : public Host, public Transport {
 
   UdpConfig config_;
   SteadyClock clock_;
-  sim::Stats stats_;
   // icc:sync: owned by value; the daemon runs one host per process with no sim World behind it, so nothing is shared
+  MetricsRegistry metrics_;
+  // icc:sync: owned by value, as metrics_ is
   sim::Tracer tracer_;
   sim::Rng rng_;
   EnergyMeter energy_;
@@ -133,11 +133,16 @@ class UdpHost final : public Host, public Transport {
 
   std::atomic<bool> stop_{false};
 
-  sim::MetricId outbound_dropped_id_;
-  sim::MetricId inbound_dropped_id_;
-  sim::MetricId tx_frames_id_;
-  sim::MetricId rx_frames_id_;
-  sim::MetricId rx_rejected_id_;
+  sim::CounterHandle m_outbound_dropped_{"node.outbound_dropped"};
+  sim::CounterHandle m_inbound_dropped_{"node.inbound_dropped"};
+  sim::CounterHandle m_tx_frames_{"net.udp.tx_frames"};
+  sim::CounterHandle m_tx_retries_{"net.udp.tx_retries"};
+  sim::CounterHandle m_tx_failed_{"net.udp.tx_failed"};
+  sim::CounterHandle m_uncodable_{"net.udp.uncodable"};
+  sim::CounterHandle m_fault_dropped_{"net.udp.fault_dropped"};
+  sim::CounterHandle m_fault_reordered_{"net.udp.fault_reordered"};
+  sim::CounterHandle m_rx_frames_{"net.udp.rx_frames"};
+  sim::CounterHandle m_rx_rejected_{"net.udp.rx_rejected"};
 };
 
 }  // namespace icc::net

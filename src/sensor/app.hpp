@@ -64,6 +64,11 @@ class SensorApp {
   Params params_;
   core::InnerCircleNode* icc_;
   sim::Rng rng_;
+  sim::CounterHandle m_samples_{"sensor.samples"};
+  sim::CounterHandle m_ondemand_samples_{"sensor.ondemand_samples"};
+  sim::CounterHandle m_rounds_initiated_{"sensor.rounds_initiated"};
+  sim::CounterHandle m_readings_rejected_{"sensor.readings_rejected"};
+  sim::CounterHandle m_notifications_{"sensor.notifications"};
 
   sim::Vec2 reported_pos_;  ///< == true position unless kPositionError
   Reading latest_{};

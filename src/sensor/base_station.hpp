@@ -60,6 +60,7 @@ class BaseStation {
   std::vector<Detection> detections_;
   std::unordered_map<sim::NodeId, SensorStream> streams_;
   std::uint64_t rejected_{0};
+  sim::CounterHandle m_agreed_rejected_{"bs.agreed_rejected"};
   std::uint64_t readings_{0};
 };
 

@@ -73,6 +73,10 @@ class Diffusion {
   Params params_;
   sim::Rng rng_;
   SinkHandler sink_handler_;
+  sim::CounterHandle m_interests_sent_{"diff.interests_sent"};
+  sim::CounterHandle m_notifications_sent_{"diff.notifications_sent"};
+  sim::CounterHandle m_notifications_delivered_{"diff.notifications_delivered"};
+  sim::CounterHandle m_no_gradient_drop_{"diff.no_gradient_drop"};
 
   std::uint32_t interest_seq_{0};       ///< sink: next seq to flood
   std::uint32_t best_seq_{0};           ///< non-sink: freshest seq seen

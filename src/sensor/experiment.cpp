@@ -127,7 +127,8 @@ SensorExperimentResult run_sensor_experiment(const SensorExperimentConfig& confi
   if (!result.coverage_consistent) {
     sim::dump_all_flight_recorders("coverage-ledger inconsistency");
   }
-  result.notifications = static_cast<std::uint64_t>(world.stats().get("sensor.notifications"));
+  result.notifications =
+      static_cast<std::uint64_t>(world.metrics().counter_value("sensor.notifications"));
   result.bs_detections = station.detections().size();
   result.bs_rejected = station.rejected();
 

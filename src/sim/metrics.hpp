@@ -11,8 +11,12 @@
 //                 ("cbr.latency", per-run throughput across a campaign)
 //   Histogram  fixed buckets with p50/p90/p99 extraction
 //
-// The string-keyed `Stats` facade in sim/stats.hpp rides on top of this
-// registry for call sites that have not migrated to interned ids yet.
+// One way to count: a counter with a fixed (literal) name is a CounterHandle,
+// interned on its first write. Every other metric — a counter whose name is
+// built at run time (node-scoped "*.n<i>", "fault.kind.<kind>") and every
+// gauge, series and histogram — is interned through *_id. Reads by name
+// (counter_value, series_by_name) are for cold code: result extraction,
+// reports and tests.
 #pragma once
 
 #include <cmath>
@@ -23,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/check.hpp"
 #include "sim/types.hpp"
 
 namespace icc::sim {
@@ -104,6 +109,18 @@ class Histogram {
 /// through it are a single vector index — no hashing, no allocation.
 using MetricId = std::uint32_t;
 
+/// A fixed-name counter, held by the component that bumps it. The registry
+/// interns the name on the handle's first write and caches the id in it, so
+/// a counter exists from its first write (a never-bumped counter has no row
+/// and costs nothing at set-up) and every later write is a vector index.
+/// Handles with one name — the same component on every node — share one
+/// slot. A handle belongs to the registry that first wrote it.
+struct CounterHandle {
+  static constexpr MetricId kUnset = std::numeric_limits<MetricId>::max();
+  const char* name;
+  MetricId id{kUnset};
+};
+
 // icc:affinity(world)
 class MetricsRegistry {
  public:
@@ -126,6 +143,12 @@ class MetricsRegistry {
 
   // ------------------------------------------------------- updates (hot)
   void add(MetricId id, double v = 1.0) { counters_[id].value += v; }
+  void add(CounterHandle& counter, double v = 1.0) {
+    if (counter.id == CounterHandle::kUnset) counter.id = counter_id(counter.name);
+    ICC_ASSERT(counter.id < counters_.size() && counters_[counter.id].name == counter.name,
+               "a counter handle was written to a registry other than the one that interned it");
+    counters_[counter.id].value += v;
+  }
   void set(MetricId id, double v) { gauges_[id].value = v; }
   void sample(MetricId id, double v) { series_[id].value.add(v); }
   void observe(MetricId id, double v) { histograms_[id].value.observe(v); }
@@ -171,7 +194,8 @@ class MetricsRegistry {
   template <typename T>
   static MetricId intern(std::unordered_map<std::string, MetricId>& index,
                          std::vector<Entry<T>>& store, const std::string& name) {
-    const auto [it, inserted] = index.emplace(name, static_cast<MetricId>(store.size()));
+    // try_emplace, not emplace: a hit must not build a node and copy the name.
+    const auto [it, inserted] = index.try_emplace(name, static_cast<MetricId>(store.size()));
     if (inserted) store.push_back(Entry<T>{name, T{}});
     return it->second;
   }

@@ -9,13 +9,10 @@ Node::Node(World& world, NodeId id, std::unique_ptr<Mobility> mobility,
     : world_{world},
       id_{id},
       mobility_{std::move(mobility)},
-      mac_{std::make_unique<Mac>(world, *this, mac_params)},
-      outbound_dropped_id_{world.metrics().counter_id("node.outbound_dropped")},
-      inbound_dropped_id_{world.metrics().counter_id("node.inbound_dropped")} {}
+      mac_{std::make_unique<Mac>(world, *this, mac_params)} {}
 
 Vec2 Node::position() const { return mobility_->position(world_.now()); }
 
-Stats& Node::stats() noexcept { return world_.stats(); }
 MetricsRegistry& Node::metrics() noexcept { return world_.metrics(); }
 Tracer& Node::tracer() noexcept { return world_.tracer(); }
 Time Node::now() const noexcept { return world_.now(); }
@@ -39,7 +36,7 @@ void Node::link_send(Packet packet, NodeId next_hop) {
       case FilterVerdict::kPass:
         break;
       case FilterVerdict::kDrop:
-        world_.metrics().add(outbound_dropped_id_);
+        world_.metrics().add(m_outbound_dropped_);
         world_.tracer().emit({world_.now(), TraceType::kPacketDrop, id_, next_hop,
                               packet.uid, packet.size_bytes, 0.0, "outbound_filter",
                               packet.uid, packet.parent});
@@ -92,7 +89,7 @@ void Node::frame_received(const Frame& frame) {
       case FilterVerdict::kPass:
         break;
       case FilterVerdict::kDrop:
-        world_.metrics().add(inbound_dropped_id_);
+        world_.metrics().add(m_inbound_dropped_);
         world_.tracer().emit({world_.now(), TraceType::kPacketDrop, id_, frame.tx,
                               packet.uid, packet.size_bytes, 0.0, "inbound_filter",
                               packet.uid, packet.parent});

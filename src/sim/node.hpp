@@ -49,7 +49,6 @@ class Node final : public net::Host, public net::Transport {
 
   // net::Host implementation — the node is the protocol stack's window onto
   // its world (out of line: World is incomplete here).
-  Stats& stats() noexcept override;
   MetricsRegistry& metrics() noexcept override;
   Tracer& tracer() noexcept override;
   [[nodiscard]] Time now() const noexcept override;
@@ -122,8 +121,8 @@ class Node final : public net::Host, public net::Transport {
   EnergyMeter energy_;
   std::unique_ptr<Mac> mac_;
   bool down_{false};
-  MetricId outbound_dropped_id_;
-  MetricId inbound_dropped_id_;
+  CounterHandle m_outbound_dropped_{"node.outbound_dropped"};
+  CounterHandle m_inbound_dropped_{"node.inbound_dropped"};
 
   std::array<Handler, kNumPorts> handlers_{};
   std::vector<PromiscuousListener> promiscuous_;

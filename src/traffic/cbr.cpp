@@ -5,8 +5,7 @@ namespace icc::traffic {
 CbrConnection::CbrConnection(aodv::Aodv& source, sim::NodeId dest, Params params)
     : source_{source},
       dest_{dest},
-      params_{params},
-      m_sent_{source.node().metrics().counter_id("cbr.sent")} {
+      params_{params} {
   source_.node().clock().schedule_at(params_.start, [this] { send_next(); },
                                      net::EventTag::kTraffic);
 }
@@ -29,9 +28,9 @@ void CbrConnection::send_next() {
 
 void CbrConnection::attach_sink(aodv::Aodv& aodv) {
   net::Host& host = aodv.node();
-  const sim::MetricId received = host.metrics().counter_id("cbr.received");
   const sim::MetricId latency = host.metrics().series_id("cbr.latency");
-  aodv.set_deliver_handler([&host, received, latency](const aodv::DataMsg& data, sim::NodeId) {
+  aodv.set_deliver_handler([&host, received = sim::CounterHandle{"cbr.received"}, latency](
+                               const aodv::DataMsg& data, sim::NodeId) mutable {
     host.metrics().add(received);
     host.metrics().sample(latency, host.now() - data.sent_at);
   });

@@ -38,7 +38,7 @@ class CbrConnection {
   sim::NodeId dest_;
   Params params_;
   std::uint64_t sent_{0};
-  sim::MetricId m_sent_;
+  sim::CounterHandle m_sent_{"cbr.sent"};
 };
 
 }  // namespace icc::traffic

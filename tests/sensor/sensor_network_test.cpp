@@ -64,7 +64,7 @@ TEST_F(DiffusionTest, NoGradientMeansDrop) {
   agents_[2]->send_to_sink({9});
   world_->run_until(3.0);
   EXPECT_TRUE(received_.empty());
-  EXPECT_GE(world_->stats().get("diff.no_gradient_drop"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("diff.no_gradient_drop"), 1.0);
 }
 
 TEST_F(DiffusionTest, TreeRepairsAfterParentCrash) {

@@ -46,7 +46,7 @@ ChainRun run_chain(std::uint64_t seed, bool traced) {
   world.run_until(5.0);
   ChainRun result;
   result.events = sink.events();
-  result.cbr_received = world.stats().get("cbr.received");
+  result.cbr_received = world.metrics().counter_value("cbr.received");
   return result;
 }
 

@@ -1,14 +1,15 @@
 // Metrics registry tests: Welford statistics against hand-computed values,
-// histogram percentile extraction, interning semantics, the Stats facade,
-// and RunReport serialization.
+// histogram percentile extraction, interning semantics, first-write counter
+// handles, and RunReport serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
-#include "sim/stats.hpp"
 
 namespace icc::sim {
 namespace {
@@ -147,23 +148,73 @@ TEST(MetricsRegistry, ScopedPerNodeNames) {
   EXPECT_DOUBLE_EQ(reg.gauge_value("energy_j.n3"), 1.5);
 }
 
-TEST(StatsFacade, StringApiRidesOnRegistry) {
-  Stats stats;
-  stats.add("a");
-  stats.add("a", 4.0);
-  stats.sample("s", 2.0);
-  stats.sample("s", 4.0);
-  EXPECT_DOUBLE_EQ(stats.get("a"), 5.0);
-  EXPECT_DOUBLE_EQ(stats.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(stats.samples("s").mean(), 3.0);
-  EXPECT_TRUE(stats.samples("missing").empty());
-  // Interned access sees the same storage.
-  const MetricId id = stats.registry().counter_id("a");
-  stats.registry().add(id, 1.0);
-  EXPECT_DOUBLE_EQ(stats.get("a"), 6.0);
-  const auto counters = stats.counters();
-  EXPECT_DOUBLE_EQ(counters.at("a"), 6.0);
+TEST(MetricsRegistry, LookupByNameReadsWrittenMetrics) {
+  MetricsRegistry reg;
+  CounterHandle a{"a"};
+  reg.add(a);
+  reg.add(a, 4.0);
+  reg.add(reg.counter_id("a"), 1.0);  // an id and a handle share one slot
+  reg.sample(reg.series_id("s"), 2.0);
+  reg.sample(reg.series_id("s"), 4.0);
+  EXPECT_DOUBLE_EQ(reg.counter_value("a"), 6.0);
+  EXPECT_DOUBLE_EQ(reg.series_by_name("s").mean(), 3.0);
 }
+
+std::vector<std::string> counter_names(const MetricsRegistry& reg) {
+  std::vector<std::string> names;
+  reg.for_each_counter([&names](const std::string& name, double) { names.push_back(name); });
+  return names;
+}
+
+TEST(CounterHandle, CounterExistsFromItsFirstWrite) {
+  MetricsRegistry reg;
+  CounterHandle late{"late"};
+  reg.add(reg.counter_id("early"));
+  // Never written: no row, and a by-name read sees zero.
+  EXPECT_EQ(counter_names(reg), (std::vector<std::string>{"early"}));
+  EXPECT_DOUBLE_EQ(reg.counter_value("late"), 0.0);
+  EXPECT_EQ(late.id, CounterHandle::kUnset);
+  // The first write appends the counter after every earlier-written one.
+  reg.add(late);
+  EXPECT_EQ(counter_names(reg), (std::vector<std::string>{"early", "late"}));
+  EXPECT_DOUBLE_EQ(reg.counter_value("late"), 1.0);
+}
+
+TEST(CounterHandle, HandlesWithOneNameShareASlot) {
+  // Two nodes' copies of one component each hold their own handle.
+  MetricsRegistry by_handle;
+  MetricsRegistry by_name;
+  CounterHandle node0{"aodv.rreq_sent"};
+  CounterHandle node1{"aodv.rreq_sent"};
+  for (int i = 0; i < 3; ++i) {
+    by_handle.add(node0);
+    by_handle.add(node1, 2.0);
+    by_name.add(by_name.counter_id("aodv.rreq_sent"));
+    by_name.add(by_name.counter_id("aodv.rreq_sent"), 2.0);
+  }
+  EXPECT_EQ(node0.id, node1.id);
+  EXPECT_EQ(counter_names(by_handle), (std::vector<std::string>{"aodv.rreq_sent"}));
+  EXPECT_DOUBLE_EQ(by_handle.counter_value("aodv.rreq_sent"), 9.0);
+  EXPECT_DOUBLE_EQ(by_handle.counter_value("aodv.rreq_sent"),
+                   by_name.counter_value("aodv.rreq_sent"));
+}
+
+#if ICC_CHECKED_ENABLED
+TEST(CounterHandleDeathTest, HandleWrittenToASecondRegistryAborts) {
+  EXPECT_DEATH(
+      {
+        MetricsRegistry first;
+        MetricsRegistry second;
+        CounterHandle h{"b"};
+        first.add(first.counter_id("a"));
+        first.add(h);  // interned as id 1 of `first`
+        second.add(second.counter_id("a"));
+        second.add(second.counter_id("c"));
+        second.add(h);  // id 1 of `second` is "c"
+      },
+      "registry other than the one that interned it");
+}
+#endif
 
 TEST(RunReport, JsonCarriesSeriesStatistics) {
   RunReport report;

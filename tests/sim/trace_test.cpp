@@ -219,7 +219,7 @@ TEST(TraceIntegration, InstrumentationIsQuietWhenDisabled) {
   traffic::CbrConnection flow{*agents[0], 1, cbr};
   world.run_until(2.0);
   EXPECT_TRUE(sink.events().empty());
-  EXPECT_GT(world.stats().get("cbr.received"), 0.0);  // traffic did flow
+  EXPECT_GT(world.metrics().counter_value("cbr.received"), 0.0);  // traffic did flow
 }
 
 }  // namespace
