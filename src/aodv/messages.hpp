@@ -1,8 +1,11 @@
 // AODV protocol messages [2] (simplified subset, see DESIGN.md) plus the
-// application data envelope routed over AODV paths.
+// application data envelope routed over AODV paths. Each message's
+// `wire_fields` is its one frame-body layout (core/wire.hpp, net/codec.hpp).
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,6 +26,17 @@ struct RreqMsg final : sim::PayloadBase<RreqMsg> {
   bool dest_seq_known{false};
   std::uint32_t hop_count{0};
   static constexpr std::uint32_t kWireSize = 24;
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.orig);
+    io.u32(m.rreq_id);
+    io.u32(m.orig_seq);
+    io.u32(m.dest);
+    io.u32(m.dest_seq);
+    io.flag(m.dest_seq_known);
+    io.u32(m.hop_count);
+  }
 };
 
 /// Route reply, unicast hop-by-hop back along the reverse path. The
@@ -35,15 +49,21 @@ struct RrepMsg final : sim::PayloadBase<RrepMsg> {
   std::uint32_t hop_count{0};
   static constexpr std::uint32_t kWireSize = 20;
 
-  /// Canonical byte form used as the inner-circle voting value; the chosen
-  /// next hop rides along so on_agreed can identify the designated receiver.
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.dest);
+    io.u32(m.dest_seq);
+    io.u32(m.orig);
+    io.u32(m.hop_count);
+  }
+
+  /// Canonical byte form used as the inner-circle voting value: the frame
+  /// body plus the chosen next hop, so on_agreed can identify the designated
+  /// receiver.
   [[nodiscard]] static std::vector<std::uint8_t> wire_encode(const RrepMsg& rrep,
                                                              sim::NodeId next_hop) {
     core::WireWriter w;
-    w.u32(rrep.dest);
-    w.u32(rrep.dest_seq);
-    w.u32(rrep.orig);
-    w.u32(rrep.hop_count);
+    wire_fields(w, rrep);
     w.u32(next_hop);
     return std::move(w).take();
   }
@@ -52,17 +72,11 @@ struct RrepMsg final : sim::PayloadBase<RrepMsg> {
       std::span<const std::uint8_t> bytes) {
     core::WireReader r{bytes};
     RrepMsg m;
-    const auto dest = r.u32();
-    const auto dest_seq = r.u32();
-    const auto orig = r.u32();
-    const auto hops = r.u32();
-    const auto next_hop = r.u32();
-    if (!dest || !dest_seq || !orig || !hops || !next_hop || !r.done()) return std::nullopt;
-    m.dest = *dest;
-    m.dest_seq = *dest_seq;
-    m.orig = *orig;
-    m.hop_count = *hops;
-    return std::make_pair(m, *next_hop);
+    sim::NodeId next_hop{sim::kNoNode};
+    wire_fields(r, m);
+    r.u32(next_hop);
+    if (!r.done()) return std::nullopt;
+    return std::make_pair(m, next_hop);
   }
 };
 
@@ -72,6 +86,14 @@ struct RerrMsg final : sim::PayloadBase<RerrMsg> {
   std::vector<std::pair<sim::NodeId, std::uint32_t>> unreachable;  ///< (dest, seq)
   [[nodiscard]] std::uint32_t wire_size() const {
     return static_cast<std::uint32_t>(8 + 8 * unreachable.size());
+  }
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.list(m.unreachable, [](Io& io, auto& u) {
+      io.u32(u.first);
+      io.u32(u.second);
+    });
   }
 };
 
@@ -83,6 +105,13 @@ struct DataMsg final : sim::PayloadBase<DataMsg> {
   std::uint64_t app_uid{0};
   std::uint32_t app_bytes{512};
   sim::Time sent_at{0.0};  ///< origination time (latency accounting only)
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u64(m.app_uid);
+    io.u32(m.app_bytes);
+    io.f64(m.sent_at);
+  }
 };
 
 }  // namespace icc::aodv

@@ -1,8 +1,11 @@
 // Payload types exchanged by the inner-circle services (STS + IVS), plus the
-// canonical byte strings they sign.
+// canonical byte strings they sign. Each payload's `wire_fields` is its one
+// frame-body layout (core/wire.hpp, net/codec.hpp).
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/wire.hpp"
@@ -50,6 +53,16 @@ struct StsBeacon final : sim::PayloadBase<StsBeacon> {
     for (const sim::NodeId n : neighbors) w.u32(n);
     return std::move(w).take();
   }
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.origin);
+    io.u64(m.seq);
+    io.f64(m.pos.x);
+    io.f64(m.pos.y);
+    io.list(m.neighbors, [](Io& io, auto& n) { io.u32(n); });
+    io.list(m.tags, [](Io& io, auto& tag) { io.raw(tag); });
+  }
 };
 
 /// NS-Lowe handshake transport (phases 1-3), unicast between neighbors.
@@ -59,6 +72,13 @@ struct NslMsg final : sim::PayloadBase<NslMsg> {
   static constexpr const char* kTag = "sts.nsl";
   int phase{0};
   crypto::Ciphertext ct;
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.phase);
+    io.u32(m.ct.to);
+    io.bytes(m.ct.data);
+  }
 };
 
 // --------------------------------------------------------------------- IVS
@@ -72,6 +92,15 @@ struct SolicitMsg final : sim::PayloadBase<SolicitMsg> {
   int level{1};
   int ttl{1};  ///< remaining relay hops (2 for two-hop inner circles, §3)
   Value topic;
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.center);
+    io.u64(m.round);
+    io.u32(m.level);
+    io.u32(m.ttl);
+    io.bytes(m.topic);
+  }
 };
 
 /// Statistical voting, step 2: a participant's observation, individually
@@ -93,6 +122,15 @@ struct ValueMsg final : sim::PayloadBase<ValueMsg> {
     w.u32(sender);
     w.bytes(value);
     return std::move(w).take();
+  }
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.sender);
+    io.u32(m.center);
+    io.u64(m.round);
+    io.bytes(m.value);
+    io.bytes(m.sig);
   }
 };
 
@@ -120,6 +158,18 @@ struct ProposeMsg final : sim::PayloadBase<ProposeMsg> {
     w.bytes(value);
     return std::move(w).take();
   }
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.center);
+    io.u64(m.round);
+    io.u32(m.level);
+    io.u32(m.ttl);
+    io.enum_u8(m.mode, VotingMode::kStatistical);
+    io.bytes(m.value);
+    io.list(m.evidence, [](Io& io, auto& ev) { ValueMsg::wire_fields(io, ev); });
+    io.bytes(m.center_sig);
+  }
 };
 
 /// A participant's approval: its partial threshold signature over the agreed
@@ -130,6 +180,16 @@ struct AckMsg final : sim::PayloadBase<AckMsg> {
   sim::NodeId center{sim::kNoNode};  ///< routing target (relayed in 2-hop circles)
   std::uint64_t round{0};
   crypto::PartialSig psig;
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.sender);
+    io.u32(m.center);
+    io.u64(m.round);
+    io.u32(m.psig.signer);
+    io.u32(m.psig.level);
+    io.bytes(m.psig.data);
+  }
 };
 
 /// The self-checking output of a completed round (§3): value + combined
@@ -170,20 +230,28 @@ struct AgreedMsg final : sim::PayloadBase<AgreedMsg> {
       std::span<const std::uint8_t> bytes) {
     WireReader r{bytes};
     AgreedMsg m;
-    const auto source = r.u32();
-    const auto round = r.u64();
-    const auto level = r.u32();
-    auto value = r.bytes();
-    const auto sig_level = r.u32();
-    auto sig_data = r.bytes();
-    if (!source || !round || !level || !value || !sig_level || !sig_data) return std::nullopt;
-    m.source = *source;
-    m.round = *round;
-    m.level = static_cast<int>(*level);
-    m.value = std::move(*value);
-    m.sig.level = static_cast<int>(*sig_level);
-    m.sig.data = std::move(*sig_data);
+    r.u32(m.source);
+    r.u64(m.round);
+    r.u32(m.level);
+    r.bytes(m.value);
+    r.u32(m.sig.level);
+    r.bytes(m.sig.data);
+    if (!r.ok()) return std::nullopt;
     return m;
+  }
+
+  /// The frame body differs from serialize(): a wire frame is a snapshot in
+  /// flight, so it carries the ttl the sender put on this hop, while the
+  /// embedded form is signed content and omits it.
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.source);
+    io.u64(m.round);
+    io.u32(m.level);
+    io.u32(m.ttl);
+    io.bytes(m.value);
+    io.u32(m.sig.level);
+    io.bytes(m.sig.data);
   }
 
   /// Modeled on-air size.

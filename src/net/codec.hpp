@@ -11,10 +11,20 @@
 //   | body bytes (kind-specific)
 //   | checksum u32 (FNV-1a over everything before it)
 //
+// Each body is its message type's one field list (`wire_fields`, next to the
+// struct), walked by core::WireWriter to encode and core::WireReader to
+// decode; the codec itself only frames it.
+//
 // Wire kinds are a stable enum pinned here — deliberately NOT the runtime
 // PayloadKind registry, whose values depend on first-touch order and so
 // differ between processes. Decoding is total: malformed input from the
 // network is reported as a DecodeError, never an exception or a crash.
+// Every element count is checked against the bytes that remain before
+// anything is reserved, so a forged count cannot make the decoder allocate
+// beyond the datagram's own size. Decoding is also canonical: a frame
+// decodes kOk only if re-encoding it gives back exactly its bytes — a flag
+// byte other than 0/1, an undefined header flag bit, an out-of-range enum
+// or a trailing byte after the body is kBadBody.
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,8 @@
 #include <cstring>
 #include <utility>
 
-#include "exp/env.hpp"
 #include "net/codec.hpp"
+#include "sim/env.hpp"
 
 namespace icc::net {
 
@@ -48,8 +48,8 @@ UdpHost::UdpHost(UdpConfig config)
   // Env knobs override the config defaults; strict-parsed so a typo'd value
   // kills the node at startup rather than running an unimpaired testnet that
   // claims to be impaired.
-  config_.fault_loss = exp::env_double("ICC_NET_LOSS", config_.fault_loss);
-  config_.fault_reorder = exp::env_double("ICC_NET_REORDER", config_.fault_reorder);
+  config_.fault_loss = sim::env_double("ICC_NET_LOSS", config_.fault_loss);
+  config_.fault_reorder = sim::env_double("ICC_NET_REORDER", config_.fault_reorder);
   if (config_.fault_loss < 0.0 || config_.fault_loss > 1.0) {
     fatal("ICC_NET_LOSS outside [0, 1]");
   }

@@ -24,6 +24,13 @@ struct InterestMsg final : sim::PayloadBase<InterestMsg> {
   std::uint32_t seq{0};
   std::uint32_t hops{0};
   static constexpr std::uint32_t kWireSize = 16;
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.sink);
+    io.u32(m.seq);
+    io.u32(m.hops);
+  }
 };
 
 /// A notification travelling up the tree. The payload is opaque bytes —
@@ -36,6 +43,13 @@ struct NotificationMsg final : sim::PayloadBase<NotificationMsg> {
   std::vector<std::uint8_t> data;
   [[nodiscard]] std::uint32_t wire_size() const {
     return static_cast<std::uint32_t>(16 + data.size());
+  }
+
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.u32(m.origin);
+    io.u64(m.uid);
+    io.bytes(m.data);
   }
 };
 

@@ -17,24 +17,27 @@ struct Reading {
   double energy{0.0};   ///< sensed energy E_i
   sim::Vec2 pos;        ///< the sensor's position estimate u_i (= s_i)
 
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.f64(m.t);
+    io.f64(m.energy);
+    io.f64(m.pos.x);
+    io.f64(m.pos.y);
+  }
+
   [[nodiscard]] std::vector<std::uint8_t> serialize() const {
     core::WireWriter w;
-    w.f64(t);
-    w.f64(energy);
-    w.f64(pos.x);
-    w.f64(pos.y);
+    wire_fields(w, *this);
     return std::move(w).take();
   }
 
   [[nodiscard]] static std::optional<Reading> deserialize(
       std::span<const std::uint8_t> bytes) {
     core::WireReader r{bytes};
-    const auto t = r.f64();
-    const auto e = r.f64();
-    const auto x = r.f64();
-    const auto y = r.f64();
-    if (!t || !e || !x || !y || !r.done()) return std::nullopt;
-    return Reading{*t, *e, {*x, *y}};
+    Reading out;
+    wire_fields(r, out);
+    if (!r.done()) return std::nullopt;
+    return out;
   }
 
   static constexpr std::uint32_t kWireSize = 32;
@@ -50,33 +53,28 @@ struct FusedNotification {
   std::uint32_t detectors{0};
   bool valid{false};  ///< the fusion produced a consistent estimate
 
+  template <class Io, class Self>
+  static void wire_fields(Io& io, Self& m) {
+    io.f64(m.t);
+    io.f64(m.target_pos.x);
+    io.f64(m.target_pos.y);
+    io.f64(m.est_power);
+    io.u32(m.detectors);
+    io.flag(m.valid);
+  }
+
   [[nodiscard]] std::vector<std::uint8_t> serialize() const {
     core::WireWriter w;
-    w.f64(t);
-    w.f64(target_pos.x);
-    w.f64(target_pos.y);
-    w.f64(est_power);
-    w.u32(detectors);
-    w.u8(valid ? 1 : 0);
+    wire_fields(w, *this);
     return std::move(w).take();
   }
 
   [[nodiscard]] static std::optional<FusedNotification> deserialize(
       std::span<const std::uint8_t> bytes) {
     core::WireReader r{bytes};
-    const auto t = r.f64();
-    const auto x = r.f64();
-    const auto y = r.f64();
-    const auto p = r.f64();
-    const auto n = r.u32();
-    const auto v = r.u8();
-    if (!t || !x || !y || !p || !n || !v || !r.done()) return std::nullopt;
     FusedNotification out;
-    out.t = *t;
-    out.target_pos = {*x, *y};
-    out.est_power = *p;
-    out.detectors = *n;
-    out.valid = *v != 0;
+    wire_fields(r, out);
+    if (!r.done()) return std::nullopt;
     return out;
   }
 };

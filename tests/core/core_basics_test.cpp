@@ -19,14 +19,25 @@ TEST(Wire, RoundTripAllTypes) {
   w.str("hello");
 
   WireReader r{w.data()};
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x123456789ABCDEF0ull);
-  EXPECT_DOUBLE_EQ(*r.f64(), 3.14159);
-  EXPECT_EQ(r.bytes(), (std::vector<std::uint8_t>{1, 2, 3}));
-  const auto s = r.bytes();
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(std::string(s->begin(), s->end()), "hello");
+  std::uint8_t a = 0;
+  std::uint32_t b = 0;
+  std::uint64_t c = 0;
+  double d = 0.0;
+  std::vector<std::uint8_t> e;
+  std::vector<std::uint8_t> s;
+  r.u8(a);
+  r.u32(b);
+  r.u64(c);
+  r.f64(d);
+  r.bytes(e);
+  r.bytes(s);
+  EXPECT_EQ(a, 7);
+  EXPECT_EQ(b, 0xDEADBEEFu);
+  EXPECT_EQ(c, 0x123456789ABCDEF0ull);
+  EXPECT_DOUBLE_EQ(d, 3.14159);
+  EXPECT_EQ(e, (std::vector<std::uint8_t>{1, 2, 3}));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(std::string(s.begin(), s.end()), "hello");
   EXPECT_TRUE(r.done());
 }
 
@@ -35,14 +46,18 @@ TEST(Wire, TruncatedInputFailsGracefully) {
   w.u64(42);
   const auto& buf = w.data();
   WireReader r{std::span{buf.data(), 4}};  // cut in half
-  EXPECT_FALSE(r.u64().has_value());
+  std::uint64_t v = 0;
+  r.u64(v);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Wire, OversizedLengthPrefixRejected) {
   WireWriter w;
   w.u32(1000);  // claims 1000 bytes follow; nothing does
   WireReader r{w.data()};
-  EXPECT_FALSE(r.bytes().has_value());
+  std::vector<std::uint8_t> v;
+  r.bytes(v);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Wire, NonCanonicalTrailingBytesDetectable) {
@@ -50,7 +65,8 @@ TEST(Wire, NonCanonicalTrailingBytesDetectable) {
   w.u32(1);
   w.u8(0xFF);
   WireReader r{w.data()};
-  (void)r.u32();
+  std::uint32_t v = 0;
+  r.u32(v);
   EXPECT_FALSE(r.done());
 }
 

@@ -4,11 +4,18 @@
 // template suppression.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include "core/framework.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/pki.hpp"
+#include "net/codec.hpp"
+#include "sim/trace.hpp"
 #include "sim/world.hpp"
 
 namespace icc::core {
@@ -21,14 +28,17 @@ struct RawPayload final : sim::PayloadBase<RawPayload> {
 
 class VotingTest : public ::testing::Test {
  protected:
-  // A dense circle: every node is every other node's neighbor.
-  void build(int n, InnerCircleConfig base_config) {
+  // A dense circle: every node is every other node's neighbor. `setup`
+  // runs on the fresh world before any node exists.
+  void build(int n, InnerCircleConfig base_config,
+             const std::function<void(sim::World&)>& setup = {}) {
     sim::WorldConfig config;
     config.width = 1000;
     config.height = 1000;
     config.tx_range = 250;
     config.seed = 21;
     world_ = std::make_unique<sim::World>(config);
+    if (setup) setup(*world_);
     scheme_ = std::make_unique<crypto::ModelThresholdScheme>(77, 8, 512);
     pki_ = std::make_unique<crypto::ModelPki>(78, 512);
     for (int i = 0; i < n; ++i) {
@@ -180,6 +190,68 @@ TEST_F(VotingTest, StatisticalRoundFusesValues) {
   ASSERT_TRUE(fused_result.has_value());
   // Center's 10 plus three participant values from {11..15}.
   EXPECT_GE(fused_result->at(0), 10 + 11 + 12 + 13);
+}
+
+TEST_F(VotingTest, StatisticalRoundIdenticalThroughWireCodec) {
+  // The fig7 runs that CI checks for codec parity send no solicit, value or
+  // propose-with-evidence frame. Here a statistical round sends them all;
+  // routing every frame through encode_frame/decode_frame must change
+  // neither the outcome nor a single trace event.
+  auto run = [this](bool codec, std::set<std::string>& kinds) {
+    std::ostringstream trace;
+    sim::JsonlTraceSink sink{trace};
+    InnerCircleConfig config;
+    config.level = 3;
+    config.mode = VotingMode::kStatistical;
+    build(6, config, [&](sim::World& world) {
+      world.tracer().set_mask(sim::Tracer::parse_mask("all"));
+      world.tracer().add_sink(&sink);
+      if (!codec) return;
+      net::attach_sim_codec(world);
+      world.set_packet_transform(
+          [&kinds, codec_transform = world.packet_transform()](
+              sim::Packet&& packet, sim::NodeId tx, sim::NodeId rx) {
+            if (packet.body != nullptr) kinds.insert(packet.body->tag());
+            return codec_transform(std::move(packet), tx, rx);
+          });
+    });
+    std::optional<Value> fused;
+    int participants_agreed = 0;
+    for (std::size_t i = 0; i < 6; ++i) {
+      icc(i).callbacks().get_value = [i](sim::NodeId, const Value&) -> std::optional<Value> {
+        return Value{static_cast<std::uint8_t>(10 + i)};
+      };
+      icc(i).callbacks().fuse =
+          [](const std::vector<std::pair<sim::NodeId, Value>>& values) -> Value {
+        int sum = 0;
+        for (const auto& [id, v] : values) sum += v.at(0);
+        return Value{static_cast<std::uint8_t>(sum)};
+      };
+      icc(i).callbacks().on_agreed = [&](const AgreedMsg& msg, bool is_center) {
+        if (is_center) {
+          fused = msg.value;
+        } else {
+          ++participants_agreed;
+        }
+      };
+    }
+    icc(0).initiate(Value{10});
+    world_->run_until(6.0);
+    circles_.clear();
+    world_.reset();  // before the sink it writes to goes out of scope
+    return std::make_tuple(fused, participants_agreed, trace.str());
+  };
+  std::set<std::string> kinds;
+  const auto plain = run(false, kinds);
+  const auto coded = run(true, kinds);
+  ASSERT_TRUE(std::get<0>(plain).has_value());
+  EXPECT_EQ(std::get<0>(coded), std::get<0>(plain));
+  EXPECT_EQ(std::get<1>(coded), std::get<1>(plain));
+  EXPECT_FALSE(std::get<2>(plain).empty());
+  EXPECT_TRUE(std::get<2>(coded) == std::get<2>(plain)) << "traces diverge";
+  for (const char* kind : {"ivs.solicit", "ivs.value", "ivs.propose", "ivs.ack", "ivs.agreed"}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << kind << " never crossed the codec";
+  }
 }
 
 TEST_F(VotingTest, StatisticalLyingCenterConvicted) {

@@ -2,11 +2,18 @@
 // experiment properties (miss/false-alarm/energy behaviour of §5.2).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
 
+#include "net/codec.hpp"
 #include "sensor/base_station.hpp"
 #include "sensor/diffusion.hpp"
 #include "sensor/experiment.hpp"
+#include "sim/trace.hpp"
 #include "sim/world.hpp"
 
 namespace icc::sensor {
@@ -14,13 +21,16 @@ namespace {
 
 class DiffusionTest : public ::testing::Test {
  protected:
-  void build(std::vector<sim::Vec2> positions, double range = 40.0) {
+  // `setup` runs on the fresh world before any node exists.
+  void build(std::vector<sim::Vec2> positions, double range = 40.0,
+             const std::function<void(sim::World&)>& setup = {}) {
     sim::WorldConfig config;
     config.width = 200;
     config.height = 200;
     config.tx_range = range;
     config.seed = 51;
     world_ = std::make_unique<sim::World>(config);
+    if (setup) setup(*world_);
     for (const sim::Vec2 pos : positions) {
       sim::Node& node = world_->add_node(std::make_unique<sim::StaticMobility>(pos));
       agents_.push_back(std::make_unique<Diffusion>(node, 0, Diffusion::Params{}));
@@ -55,6 +65,47 @@ TEST_F(DiffusionTest, NotificationClimbsToSink) {
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].origin, 3u);
   EXPECT_EQ(received_[0].data, (std::vector<std::uint8_t>{1, 2, 3}));
+}
+
+TEST_F(DiffusionTest, NotificationIdenticalThroughWireCodec) {
+  // No CI codec-parity run sends diffusion traffic. Routing every interest
+  // and notification frame through encode_frame/decode_frame must change
+  // neither what the sink receives nor a single trace event.
+  auto run = [this](bool codec, std::set<std::string>& kinds) {
+    std::ostringstream trace;
+    sim::JsonlTraceSink sink{trace};
+    build({{0, 0}, {30, 0}, {60, 0}, {90, 0}}, 40.0, [&](sim::World& world) {
+      world.tracer().set_mask(sim::Tracer::parse_mask("all"));
+      world.tracer().add_sink(&sink);
+      if (!codec) return;
+      net::attach_sim_codec(world);
+      world.set_packet_transform(
+          [&kinds, codec_transform = world.packet_transform()](
+              sim::Packet&& packet, sim::NodeId tx, sim::NodeId rx) {
+            if (packet.body != nullptr) kinds.insert(packet.body->tag());
+            return codec_transform(std::move(packet), tx, rx);
+          });
+    });
+    world_->run_until(2.0);
+    agents_[3]->send_to_sink({1, 2, 3});
+    world_->run_until(3.0);
+    std::vector<std::tuple<sim::NodeId, std::uint64_t, std::vector<std::uint8_t>>> got;
+    for (const NotificationMsg& msg : received_) got.emplace_back(msg.origin, msg.uid, msg.data);
+    agents_.clear();
+    received_.clear();
+    world_.reset();  // before the sink it writes to goes out of scope
+    return std::make_pair(got, trace.str());
+  };
+  std::set<std::string> kinds;
+  const auto plain = run(false, kinds);
+  const auto coded = run(true, kinds);
+  ASSERT_EQ(plain.first.size(), 1u);
+  EXPECT_EQ(coded.first, plain.first);
+  EXPECT_FALSE(plain.second.empty());
+  EXPECT_TRUE(coded.second == plain.second) << "traces diverge";
+  for (const char* kind : {"diff.interest", "diff.notification"}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << kind << " never crossed the codec";
+  }
 }
 
 TEST_F(DiffusionTest, NoGradientMeansDrop) {
