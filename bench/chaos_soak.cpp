@@ -185,34 +185,30 @@ int main() {
 
   // Aggregate ledger as a RunReport, same gauge names CoverageLedger uses
   // for single runs — one schema whether you look at a run or the soak.
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "chaos_soak");
-    report.set_meta("plans", static_cast<std::uint64_t>(seeds.size()));
-    report.set_meta("nodes", nodes);
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", base_seed);
-    report.set_meta("ledger_consistent", static_cast<std::uint64_t>(failing.empty() ? 1 : 0));
-    for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
-      std::string base = "fault.";
-      base += icc::fault::fault_class_name(static_cast<icc::fault::FaultClass>(c));
-      base += ".coverage.";
-      report.add_gauge(base + "injected", static_cast<double>(totals[c].injected));
-      report.add_gauge(base + "detected", static_cast<double>(totals[c].detected));
-      report.add_gauge(base + "neutralized", static_cast<double>(totals[c].neutralized));
-      report.add_gauge(base + "escaped", static_cast<double>(totals[c].escaped));
-    }
-    for (std::size_t k = 0; k < icc::fault::kNumAttackKinds; ++k) {
-      const auto kind = static_cast<icc::fault::AttackKind>(k);
-      if (!icc::fault::attack_kind_booked(kind)) continue;
-      report.add_gauge(std::string("fault.kind.") + icc::fault::attack_kind_name(kind) +
-                           ".injected",
-                       static_cast<double>(kind_totals[k]));
-    }
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "chaos_soak");
+  report.set_meta("plans", static_cast<std::uint64_t>(seeds.size()));
+  report.set_meta("nodes", nodes);
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", base_seed);
+  report.set_meta("ledger_consistent", static_cast<std::uint64_t>(failing.empty() ? 1 : 0));
+  for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
+    std::string base = "fault.";
+    base += icc::fault::fault_class_name(static_cast<icc::fault::FaultClass>(c));
+    base += ".coverage.";
+    report.add_gauge(base + "injected", static_cast<double>(totals[c].injected));
+    report.add_gauge(base + "detected", static_cast<double>(totals[c].detected));
+    report.add_gauge(base + "neutralized", static_cast<double>(totals[c].neutralized));
+    report.add_gauge(base + "escaped", static_cast<double>(totals[c].escaped));
   }
+  for (std::size_t k = 0; k < icc::fault::kNumAttackKinds; ++k) {
+    const auto kind = static_cast<icc::fault::AttackKind>(k);
+    if (!icc::fault::attack_kind_booked(kind)) continue;
+    report.add_gauge(std::string("fault.kind.") + icc::fault::attack_kind_name(kind) +
+                         ".injected",
+                     static_cast<double>(kind_totals[k]));
+  }
+  const bool report_written = icc::exp::write_json_report(report);
 
   if (!failing.empty()) {
     std::printf("\n%zu plan(s) FAILED the ledger invariant; reproduce with:\n",
@@ -226,5 +222,5 @@ int main() {
   }
   std::printf("\nall %zu plan(s) completed with a consistent coverage ledger\n",
               seeds.size());
-  return 0;
+  return report_written ? 0 : 1;
 }

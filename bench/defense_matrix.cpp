@@ -271,12 +271,7 @@ int main() {
   }
 
   report.set_meta("ledger_consistent", static_cast<std::uint64_t>(all_consistent ? 1 : 0));
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!icc::exp::write_json_report(report)) return 1;
 
   if (!all_consistent) {
     std::printf("\nat least one cell FAILED the coverage-ledger invariant\n");

@@ -132,19 +132,13 @@ int main() {
   // Structured export: every (series, attackers) cell contributes
   // throughput, per-run mean energy, per-node energy, and latency series,
   // each carrying count/mean/stddev/min/max.
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "fig7_blackhole");
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    result.add_to_report(report);
-    if (report.write_file(json_path)) {
-      std::printf("\nreport written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "fig7_blackhole");
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  result.add_to_report(report);
+  const bool report_written = icc::exp::write_json_report(report);
 
   // Headline numbers the paper calls out in §5.1.
   const double clean = result.mean(cell(0, 0), "throughput");
@@ -160,5 +154,5 @@ int main() {
               100 * clean, 100 * one_attacker, clean / std::max(one_attacker, 1e-9),
               100 * ten_attackers, 100 * (clean - ic_clean),
               100 * ic_worst);
-  return 0;
+  return report_written ? 0 : 1;
 }

@@ -19,8 +19,9 @@ namespace icc::bench {
 /// Run the full Fig 8 grid (No IC + IC L in [2,7], five fault models) and
 /// print the six sub-figures as tables: miss alarm (a), false alarm (b),
 /// energy with target (c), energy without target (d), detection latency (e),
-/// localization error (f).
-inline void run_fig8(const char* experiment, double kt, int runs, double sim_time) {
+/// localization error (f). False when the ICC_JSON report could not be
+/// written.
+inline bool run_fig8(const char* experiment, double kt, int runs, double sim_time) {
   using sensor::FaultType;
   const FaultType faults[] = {FaultType::kNone, FaultType::kInterference,
                               FaultType::kCalibration, FaultType::kStuckAtZero,
@@ -104,20 +105,14 @@ inline void run_fig8(const char* experiment, double kt, int runs, double sim_tim
 
   // Structured export: per (config, fault) cell, the cross-run series for
   // the headline metrics. ICC_JSON selects the path (".csv" => CSV).
-  if (const std::string json_path = exp::env_string("ICC_JSON"); !json_path.empty()) {
-    sim::RunReport report;
-    report.set_meta("experiment", experiment);
-    report.set_meta("kt", kt);
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    result.add_to_report(report);
-    if (report.write_file(json_path)) {
-      std::printf("report written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  sim::RunReport report;
+  report.set_meta("experiment", experiment);
+  report.set_meta("kt", kt);
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  result.add_to_report(report);
+  return exp::write_json_report(report);
 }
 
 }  // namespace icc::bench

@@ -10,6 +10,5 @@ int main() {
   const int runs = icc::exp::env_int("ICC_RUNS", 5);
   const double sim_time = icc::exp::env_double("ICC_SIM_TIME", 200.0);
   std::printf("Figure 8 — faulty sensors, nominal target signal\n");
-  icc::bench::run_fig8("fig8_sensors", /*kt=*/20000.0, runs, sim_time);
-  return 0;
+  return icc::bench::run_fig8("fig8_sensors", /*kt=*/20000.0, runs, sim_time) ? 0 : 1;
 }

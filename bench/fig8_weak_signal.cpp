@@ -12,6 +12,5 @@ int main() {
   const int runs = icc::exp::env_int("ICC_RUNS", 5);
   const double sim_time = icc::exp::env_double("ICC_SIM_TIME", 200.0);
   std::printf("Section 5.2 follow-up — weak target signal (K*T = 10000)\n");
-  icc::bench::run_fig8("fig8_weak_signal", /*kt=*/10000.0, runs, sim_time);
-  return 0;
+  return icc::bench::run_fig8("fig8_weak_signal", /*kt=*/10000.0, runs, sim_time) ? 0 : 1;
 }

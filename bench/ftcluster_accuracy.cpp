@@ -112,12 +112,6 @@ int main() {
       " pull the whole cluster onto itself, a regime outside the paper's analysis —\n"
       " see EXPERIMENTS.md.)\n");
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("\nreport written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
-  return 0;
+  const bool report_written = icc::exp::write_json_report(report);
+  return report_written ? 0 : 1;
 }

@@ -111,16 +111,12 @@ int main() {
               " neighborhood an attacker roams into, and gray hole bursts reset the race;\n"
               " masking filters every malicious RREP with no latency at any duty cycle.)\n");
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "grayhole_sweep");
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    result.add_to_report(report);
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
-  return 0;
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "grayhole_sweep");
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  result.add_to_report(report);
+  const bool report_written = icc::exp::write_json_report(report);
+  return report_written ? 0 : 1;
 }

@@ -185,17 +185,13 @@ int main() {
                             ? "engine correctness gate: OK (identical simulations)"
                             : "engine correctness gate: FAILED");
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "scale_sweep");
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    report.set_meta("host_cpus", static_cast<std::uint64_t>(host_cpus));
-    result.add_to_report(report);
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
-  return consistent ? 0 : 1;
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "scale_sweep");
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  report.set_meta("host_cpus", static_cast<std::uint64_t>(host_cpus));
+  result.add_to_report(report);
+  const bool report_written = icc::exp::write_json_report(report);
+  return consistent && report_written ? 0 : 1;
 }

@@ -131,24 +131,20 @@ int main() {
                 flight_overhead);
   }
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "trace_overhead");
-    report.set_meta("nodes", n);
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", config.seed);
-    report.set_meta("flight_overhead_budget_pct", 5.0);
-    for (const ModeResult* m : {&off, &flight, &full}) {
-      report.add_gauge(m->mode + ".wall_s", m->wall_s);
-      report.add_gauge(m->mode + ".events_per_s", m->events_per_s);
-      report.add_gauge(m->mode + ".events_executed",
-                       static_cast<double>(m->sim.events_executed));
-      if (m != &off) report.add_gauge(m->mode + ".overhead_pct", overhead_pct(*m));
-    }
-    report.add_gauge("signature_consistent", consistent ? 1.0 : 0.0);
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "trace_overhead");
+  report.set_meta("nodes", n);
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", config.seed);
+  report.set_meta("flight_overhead_budget_pct", 5.0);
+  for (const ModeResult* m : {&off, &flight, &full}) {
+    report.add_gauge(m->mode + ".wall_s", m->wall_s);
+    report.add_gauge(m->mode + ".events_per_s", m->events_per_s);
+    report.add_gauge(m->mode + ".events_executed",
+                     static_cast<double>(m->sim.events_executed));
+    if (m != &off) report.add_gauge(m->mode + ".overhead_pct", overhead_pct(*m));
   }
-  return consistent ? 0 : 1;
+  report.add_gauge("signature_consistent", consistent ? 1.0 : 0.0);
+  const bool report_written = icc::exp::write_json_report(report);
+  return consistent && report_written ? 0 : 1;
 }

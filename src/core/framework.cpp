@@ -60,7 +60,7 @@ net::FilterVerdict InnerCircleNode::filter_outbound(const sim::Packet& packet,
       // are handed to the inner-circle services instead of the link layer).
       node_.metrics().add(m_outgoing_intercepted_);
       // The voting round descends from the intercepted packet (its uid is
-      // already stamped: link_send stamps before the filter chain runs).
+      // already stamped: send stamps before the filter chain runs).
       ivs_.initiate(config_.mode, config_.level, rule.extract(packet, next_hop),
                     packet.uid);
       return net::FilterVerdict::kConsumed;

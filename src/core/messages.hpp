@@ -236,7 +236,9 @@ struct AgreedMsg final : sim::PayloadBase<AgreedMsg> {
     r.bytes(m.value);
     r.u32(m.sig.level);
     r.bytes(m.sig.data);
-    if (!r.ok()) return std::nullopt;
+    // Every byte must belong to the message: appended bytes are not an
+    // agreed message, even when the signed prefix verifies.
+    if (!r.done()) return std::nullopt;
     return m;
   }
 

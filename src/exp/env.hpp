@@ -11,10 +11,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "sim/env.hpp"
+#include "sim/report.hpp"
 
 namespace icc::exp {
 
@@ -48,6 +50,21 @@ inline std::vector<int> env_int_list(const char* name, const char* fallback) {
     pos = comma + 1;
   }
   return out;
+}
+
+/// The ICC_JSON export every bench ends with: write `report` to the path
+/// the knob names (".csv" selects CSV). True when written or not requested;
+/// false, after saying so on stderr, when the write failed — a bench's
+/// `main` then exits non-zero rather than losing its report silently.
+inline bool write_json_report(const sim::RunReport& report) {
+  const std::string path = env_string("ICC_JSON");
+  if (path.empty()) return true;
+  if (!report.write_file(path)) {
+    std::fprintf(stderr, "failed to write report to %s\n", path.c_str());
+    return false;
+  }
+  std::printf("report written to %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace icc::exp

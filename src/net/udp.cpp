@@ -40,7 +40,8 @@ constexpr std::size_t kMaxDatagram = 65507;
 }  // namespace
 
 UdpHost::UdpHost(UdpConfig config)
-    : config_{config},
+    : Transport{*this, *this},
+      config_{config},
       clock_{config.epoch_unix_us},
       rng_{config.seed},
       next_uid_{((static_cast<std::uint64_t>(config.id) + 1) << 40) | 1} {
@@ -75,33 +76,7 @@ UdpHost::~UdpHost() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void UdpHost::stamp_lineage(sim::Packet& packet) {
-  if (packet.uid == 0) packet.uid = next_packet_uid();
-  if (packet.parent == 0 && lineage_parent_ != packet.uid) {
-    packet.parent = lineage_parent_;
-  }
-}
-
-void UdpHost::send(sim::Packet packet, sim::NodeId next_hop) {
-  stamp_lineage(packet);
-  for (const OutboundFilter& filter : outbound_filters_) {
-    switch (filter(packet, next_hop)) {
-      case FilterVerdict::kPass:
-        break;
-      case FilterVerdict::kDrop:
-        metrics_.add(m_outbound_dropped_);
-        tracer_.emit({now(), sim::TraceType::kPacketDrop, id(), next_hop, packet.uid,
-                      packet.size_bytes, 0.0, "outbound_filter", packet.uid, packet.parent});
-        return;
-      case FilterVerdict::kConsumed:
-        return;
-    }
-  }
-  send_unfiltered(std::move(packet), next_hop);
-}
-
-void UdpHost::send_unfiltered(sim::Packet packet, sim::NodeId next_hop) {
-  stamp_lineage(packet);
+void UdpHost::transmit(sim::Packet packet, sim::NodeId next_hop) {
   sim::Frame frame;
   frame.tx = id();
   frame.rx = next_hop;
@@ -167,26 +142,6 @@ void UdpHost::send_datagram(std::size_t peer, const std::vector<std::uint8_t>& b
   }
 }
 
-void UdpHost::register_handler(sim::Port port, Handler handler) {
-  handlers_.at(static_cast<std::size_t>(port)) = std::move(handler);
-}
-
-void UdpHost::add_promiscuous_listener(PromiscuousListener listener) {
-  promiscuous_.push_back(std::move(listener));
-}
-
-void UdpHost::add_inbound_filter(InboundFilter filter) {
-  inbound_filters_.push_back(std::move(filter));
-}
-
-void UdpHost::add_outbound_filter(OutboundFilter filter) {
-  outbound_filters_.push_back(std::move(filter));
-}
-
-void UdpHost::set_send_failed_handler(SendFailedHandler handler) {
-  send_failed_ = std::move(handler);
-}
-
 void UdpHost::drain_socket() {
   for (;;) {
     const ssize_t n = ::recv(fd_, rx_scratch_.data(), rx_scratch_.size(), 0);
@@ -212,28 +167,13 @@ void UdpHost::dispatch(const sim::Frame& frame) {
   if (frame.rx != id() && frame.rx != sim::kBroadcast) {
     // Addressed elsewhere: the radio would still demodulate it — that
     // overhearing is exactly what the watchdog feeds on.
-    for (const PromiscuousListener& listener : promiscuous_) listener(frame);
+    overhear(frame);
     return;
   }
   const sim::Packet& packet = frame.packet;
   tracer_.emit({now(), sim::TraceType::kPacketRx, id(), frame.tx, packet.uid,
                 packet.size_bytes, 0.0, nullptr, packet.uid, packet.parent});
-  LineageScope lineage{*this, packet.uid};
-  for (const InboundFilter& filter : inbound_filters_) {
-    switch (filter(packet, frame.tx)) {
-      case FilterVerdict::kPass:
-        break;
-      case FilterVerdict::kDrop:
-        metrics_.add(m_inbound_dropped_);
-        tracer_.emit({now(), sim::TraceType::kPacketDrop, id(), frame.tx, packet.uid,
-                      packet.size_bytes, 0.0, "inbound_filter", packet.uid, packet.parent});
-        return;
-      case FilterVerdict::kConsumed:
-        return;
-    }
-  }
-  const Handler& handler = handlers_.at(static_cast<std::size_t>(packet.port));
-  if (handler) handler(packet, frame.tx);
+  deliver(frame);
 }
 
 Time UdpHost::run_until(Time until) {

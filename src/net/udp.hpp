@@ -6,14 +6,14 @@
 // frame is addressed to it (deliver), addressed elsewhere (promiscuous
 // overhear, which is what the watchdog lives on), or its own echo (drop).
 //
-// UdpHost implements the same net::Host / net::Transport surface as the
-// simulator's Node, so the AODV agent, the inner-circle framework, the
-// watchdog, and the sensor stack run on it without modification. Time comes
-// from SteadyClock, identity/lineage uids from a per-origin counter
-// namespace ((id+1) << 40 | n) that never collides across processes.
+// UdpHost implements the same net::Host surface as the simulator's Node and
+// reuses the same net::Transport interceptor stack, so the AODV agent, the
+// inner-circle framework, the watchdog, and the sensor stack run on it
+// without modification. Time comes from SteadyClock, identity/lineage uids
+// from a per-origin counter namespace ((id+1) << 40 | n) that never
+// collides across processes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -71,15 +71,6 @@ class UdpHost final : public Host, public Transport {
   Clock& clock() noexcept override { return clock_; }
   Transport& transport() noexcept override { return *this; }
 
-  // --- Transport ---
-  void send(sim::Packet packet, sim::NodeId next_hop) override;
-  void send_unfiltered(sim::Packet packet, sim::NodeId next_hop) override;
-  void register_handler(sim::Port port, Handler handler) override;
-  void add_promiscuous_listener(PromiscuousListener listener) override;
-  void add_inbound_filter(InboundFilter filter) override;
-  void add_outbound_filter(OutboundFilter filter) override;
-  void set_send_failed_handler(SendFailedHandler handler) override;
-
   // --- run loop ---
   /// Poll sockets and fire timers until the clock passes `until` or
   /// request_stop() is called. Returns the clock value at exit.
@@ -92,13 +83,16 @@ class UdpHost final : public Host, public Transport {
   }
 
  private:
-  void stamp_lineage(sim::Packet& packet);
+  /// Encode the frame and broadcast it to every peer.
+  void transmit(sim::Packet packet, sim::NodeId next_hop) override;
   void broadcast_bytes(const std::vector<std::uint8_t>& bytes);
   /// sendto with bounded exponential backoff on transient errors (EAGAIN /
   /// ENOBUFS / EINTR): a full socket buffer under load must not silently
   /// erase a frame the way the old fire-and-forget sendto did.
   void send_datagram(std::size_t peer, const std::vector<std::uint8_t>& bytes);
   void drain_socket();
+  /// Classify a decoded frame: drop our own echo and acks, overhear frames
+  /// addressed elsewhere, deliver the rest.
   void dispatch(const sim::Frame& frame);
 
   UdpConfig config_;
@@ -124,17 +118,8 @@ class UdpHost final : public Host, public Transport {
   std::size_t held_peer_{0};
   bool holding_{false};
 
-  std::array<Handler, static_cast<std::size_t>(sim::Port::kCount)> handlers_{};
-  std::vector<PromiscuousListener> promiscuous_;
-  std::vector<InboundFilter> inbound_filters_;
-  std::vector<OutboundFilter> outbound_filters_;
-  SendFailedHandler send_failed_;  ///< kept for interface parity; loopback
-                                   ///< UDP reports no per-frame loss
-
   std::atomic<bool> stop_{false};
 
-  sim::CounterHandle m_outbound_dropped_{"node.outbound_dropped"};
-  sim::CounterHandle m_inbound_dropped_{"node.inbound_dropped"};
   sim::CounterHandle m_tx_frames_{"net.udp.tx_frames"};
   sim::CounterHandle m_tx_retries_{"net.udp.tx_retries"};
   sim::CounterHandle m_tx_failed_{"net.udp.tx_failed"};

@@ -113,7 +113,7 @@ void Mac::on_ack_timeout() {
                           static_cast<double>(retries_), "retry_limit", frame.packet.uid,
                           frame.packet.parent});
     finish_current(false);
-    if (on_send_failed_) on_send_failed_(frame.packet, frame.rx);
+    node_.send_failed(frame.packet, frame.rx);
     return;
   }
   cw_ = std::min(2 * cw_ + 1, params_.cw_max);

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "sim/frame.hpp"
@@ -38,9 +37,6 @@ struct MacParams {
 // icc:affinity(node)
 class Mac {
  public:
-  /// Invoked when a unicast frame exhausted its retries.
-  using SendFailedHandler = std::function<void(const Packet&, NodeId next_hop)>;
-
   Mac(World& world, Node& node, MacParams params);
 
   /// Queue a packet for transmission to link neighbor `next_hop`
@@ -49,8 +45,6 @@ class Mac {
 
   /// Medium -> MAC: a frame starts arriving; `duration` is its airtime.
   void begin_reception(const Frame& frame, double duration);
-
-  void set_send_failed_handler(SendFailedHandler h) { on_send_failed_ = std::move(h); }
 
   /// On-air duration for a payload of `bytes` (MAC header added here).
   [[nodiscard]] double frame_airtime(std::uint32_t bytes) const noexcept {
@@ -96,8 +90,6 @@ class Mac {
   std::vector<Reception> receptions_;
   std::uint64_t next_frame_id_{1};
   std::uint64_t unicast_failures_{0};
-
-  SendFailedHandler on_send_failed_;
 };
 
 }  // namespace icc::sim

@@ -114,7 +114,7 @@ struct Packet {
   std::uint64_t uid{0};         ///< unique packet id, assigned by World
   /// Lineage: span of the event that caused this packet (the received RREQ
   /// behind a re-flood, the data packet behind a discovery, ...). Stamped
-  /// from the world's lineage context at link_send time when still 0; a
+  /// from the world's lineage context at Transport::send time when still 0; a
   /// packet's own span is its uid. Identity metadata only — no protocol
   /// logic may branch on it.
   std::uint64_t parent{0};

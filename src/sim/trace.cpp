@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -56,16 +57,28 @@ constexpr std::array<const char*, static_cast<std::size_t>(TraceCategory::kCount
 /// sortable as text.
 void format_time(char* buf, std::size_t n, Time t) { std::snprintf(buf, n, "%.9f", t); }
 
-/// One process-wide stream per trace file path: the first open truncates,
-/// every later World in the same process appends to the same stream. Keeps a
-/// multi-world driver's trace coherent and byte-reproducible across runs.
-std::ostream& shared_file_stream(const std::string& path, bool* first_open = nullptr) {
-  static std::unordered_map<std::string, std::unique_ptr<std::ofstream>> streams;
+/// A trace file every World in the process appends to, and the lock its
+/// sinks hold while writing one line.
+struct SharedFile {
+  std::ofstream out;
+  std::mutex lock;
+};
+
+/// One process-wide stream per trace file path: the first open truncates
+/// (and writes `header`, if any), every later World in the same process
+/// appends to the same stream. Keeps a serial multi-world driver's trace
+/// coherent and byte-reproducible across runs. Campaign workers construct
+/// Worlds on concurrent threads, so the table is mutex-guarded and every
+/// line is written under the file's lock.
+SharedFile& shared_file(const std::string& path, const char* header = nullptr) {
+  static std::mutex streams_mutex;
+  static std::unordered_map<std::string, std::unique_ptr<SharedFile>> streams;
+  const std::lock_guard<std::mutex> guard{streams_mutex};
   auto it = streams.find(path);
-  if (first_open != nullptr) *first_open = it == streams.end();
   if (it == streams.end()) {
-    it = streams.emplace(path, std::make_unique<std::ofstream>(path, std::ios::trunc)).first;
-    if (!*it->second) {
+    auto file = std::make_unique<SharedFile>();
+    file->out.open(path, std::ios::trunc);
+    if (!file->out) {
       // A requested-but-unwritable trace path is a fatal configuration
       // error: silently discarding the trace would let a whole campaign run
       // to completion and only then reveal there is nothing to analyze.
@@ -73,8 +86,20 @@ std::ostream& shared_file_stream(const std::string& path, bool* first_open = nul
                    path.c_str());
       std::exit(EXIT_FAILURE);
     }
+    if (header != nullptr) file->out << header;
+    it = streams.emplace(path, std::move(file)).first;
   }
   return *it->second;
+}
+
+/// Write one rendered line, under `lock` when the stream is shared.
+void write_line(std::ostream& out, std::mutex* lock, const char* line) {
+  if (lock == nullptr) {
+    out << line << '\n';
+    return;
+  }
+  const std::lock_guard<std::mutex> guard{*lock};
+  out << line << '\n';
 }
 
 }  // namespace
@@ -110,7 +135,7 @@ void LineTraceSink::on_event(const TraceEvent& e) {
   if (e.span != 0) append(" span=%llu", static_cast<unsigned long long>(e.span));
   if (e.parent != 0) append(" parent=%llu", static_cast<unsigned long long>(e.parent));
   if (e.detail != nullptr) append(" %s", e.detail);
-  out_ << line << '\n';
+  write_line(out_, lock_, line);
 }
 
 void JsonlTraceSink::on_event(const TraceEvent& e) {
@@ -134,7 +159,7 @@ void JsonlTraceSink::on_event(const TraceEvent& e) {
   if (e.parent != 0) append(",\"parent\":%llu", static_cast<unsigned long long>(e.parent));
   if (e.detail != nullptr) append(",\"detail\":\"%s\"", e.detail);
   append("}");
-  out_ << line << '\n';
+  write_line(out_, lock_, line);
 }
 
 void PerfettoTraceSink::on_event(const TraceEvent& e) {
@@ -161,7 +186,7 @@ void PerfettoTraceSink::on_event(const TraceEvent& e) {
                       "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%s,\"pid\":1,\"id\":%llu,"
                       "\"args\":{\"value\":%.9g}},",
                       e.detail != nullptr ? e.detail : "health", ts, tid, e.value);
-    out_ << line << '\n';
+    write_line(out_, lock_, line);
     return;
   }
   n = std::snprintf(line, sizeof line,
@@ -182,7 +207,7 @@ void PerfettoTraceSink::on_event(const TraceEvent& e) {
   if (e.parent != 0) arg("\"parent\":%llu", static_cast<unsigned long long>(e.parent));
   if (e.detail != nullptr) arg("\"detail\":\"%s\"", e.detail);
   append("}},");
-  out_ << line << '\n';
+  write_line(out_, lock_, line);
   // Lineage flow arrows: an event that owns a span starts (or continues) the
   // flow with that id; an event with a parent binds the parent's flow onto
   // itself. Matching ids draw the parent -> child arrows in the UI.
@@ -191,14 +216,14 @@ void PerfettoTraceSink::on_event(const TraceEvent& e) {
                       "{\"name\":\"span\",\"cat\":\"%s\",\"ph\":\"s\",\"ts\":%s,\"pid\":1,"
                       "\"tid\":%llu,\"id\":%llu},",
                       cat, ts, tid, static_cast<unsigned long long>(e.span));
-    out_ << line << '\n';
+    write_line(out_, lock_, line);
   }
   if (e.parent != 0) {
     n = std::snprintf(line, sizeof line,
                       "{\"name\":\"span\",\"cat\":\"%s\",\"ph\":\"f\",\"bp\":\"e\",\"ts\":%s,"
                       "\"pid\":1,\"tid\":%llu,\"id\":%llu},",
                       cat, ts, tid, static_cast<unsigned long long>(e.parent));
-    out_ << line << '\n';
+    write_line(out_, lock_, line);
   }
 }
 
@@ -234,12 +259,12 @@ void Tracer::configure_from_env() {
   if (mask != 0) {
     mask_ |= mask;
     if (const char* path = env_raw("ICC_TRACE_FILE"); path != nullptr) {
-      std::ostream& out = shared_file_stream(path);
+      SharedFile& file = shared_file(path);
       const std::string_view p{path};
       if (p.size() >= 6 && p.substr(p.size() - 6) == ".jsonl") {
-        add_owned_sink(std::make_unique<JsonlTraceSink>(out));
+        add_owned_sink(std::make_unique<JsonlTraceSink>(file.out, &file.lock));
       } else {
-        add_owned_sink(std::make_unique<LineTraceSink>(out));
+        add_owned_sink(std::make_unique<LineTraceSink>(file.out, &file.lock));
       }
     } else {
       add_owned_sink(std::make_unique<LineTraceSink>(std::cerr));
@@ -248,10 +273,9 @@ void Tracer::configure_from_env() {
   if (const char* perfetto = env_raw("ICC_TRACE_PERFETTO"); perfetto != nullptr) {
     // The export wants the whole picture: enable every category.
     mask_ = (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
-    bool first_open = false;
-    std::ostream& out = shared_file_stream(perfetto, &first_open);
-    if (first_open) out << "[\n";  // closing ']' is optional in the format
-    add_owned_sink(std::make_unique<PerfettoTraceSink>(out));
+    // The closing ']' is optional in the format.
+    SharedFile& file = shared_file(perfetto, "[\n");
+    add_owned_sink(std::make_unique<PerfettoTraceSink>(file.out, &file.lock));
   }
   if (env_flag("ICC_FLIGHT")) {
     const int records =

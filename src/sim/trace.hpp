@@ -29,8 +29,10 @@
 //                   in .jsonl selects the JSONL sink, anything else the
 //                   ns-2-style line sink. Worlds created by the same process
 //                   append to one shared stream (truncated once at first
-//                   open), so multi-world drivers produce a single coherent,
-//                   reproducible trace. An unwritable path is a fatal
+//                   open), so a serial multi-world driver produces a single
+//                   coherent, reproducible trace; worlds on concurrent
+//                   campaign workers interleave whole lines, in an order
+//                   that is not reproducible. An unwritable path is a fatal
 //                   configuration error (the process exits) — silently
 //                   discarding a requested trace would waste the whole run.
 //   ICC_TRACE_PERFETTO  also export every category to a Chrome/Perfetto
@@ -44,6 +46,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -123,22 +126,28 @@ class TraceSink {
 ///   `s 12.000345678 _3_ packet packet_tx peer=7 uid=42 size=512`
 class LineTraceSink final : public TraceSink {
  public:
-  explicit LineTraceSink(std::ostream& out) : out_{out} {}
+  /// `lock`, when given, is held while each line is written to `out`.
+  explicit LineTraceSink(std::ostream& out, std::mutex* lock = nullptr)
+      : out_{out}, lock_{lock} {}
   void on_event(const TraceEvent& event) override;
 
  private:
   std::ostream& out_;
+  std::mutex* lock_;
 };
 
 /// One JSON object per line; field order and float formatting are fixed so
 /// equal-seed runs yield byte-identical traces.
 class JsonlTraceSink final : public TraceSink {
  public:
-  explicit JsonlTraceSink(std::ostream& out) : out_{out} {}
+  /// `lock`, when given, is held while each line is written to `out`.
+  explicit JsonlTraceSink(std::ostream& out, std::mutex* lock = nullptr)
+      : out_{out}, lock_{lock} {}
   void on_event(const TraceEvent& event) override;
 
  private:
   std::ostream& out_;
+  std::mutex* lock_;
 };
 
 /// Chrome/Perfetto trace-event JSON ("JSON Array Format"): one instant event
@@ -149,11 +158,14 @@ class JsonlTraceSink final : public TraceSink {
 /// stay loadable.
 class PerfettoTraceSink final : public TraceSink {
  public:
-  explicit PerfettoTraceSink(std::ostream& out) : out_{out} {}
+  /// `lock`, when given, is held while each line is written to `out`.
+  explicit PerfettoTraceSink(std::ostream& out, std::mutex* lock = nullptr)
+      : out_{out}, lock_{lock} {}
   void on_event(const TraceEvent& event) override;
 
  private:
   std::ostream& out_;
+  std::mutex* lock_;
 };
 
 /// Test helper: buffers events in memory.

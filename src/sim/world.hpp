@@ -82,8 +82,8 @@ class World final : public net::Services {
   std::uint64_t next_span() noexcept override { return next_packet_uid(); }
 
   /// The span of the event being causally processed right now — the uid of
-  /// the packet whose reception is being handled (set by Node::
-  /// frame_received), or a cause explicitly scoped by protocol code
+  /// the packet whose reception is being handled (set by net::Transport::
+  /// deliver), or a cause explicitly scoped by protocol code
   /// (LineageScope). Packets originated inside the scope inherit it as
   /// their parent automatically. 0 = no known cause (timer-driven work).
   [[nodiscard]] std::uint64_t lineage_parent() const noexcept override {
@@ -92,7 +92,7 @@ class World final : public net::Services {
   void set_lineage_parent(std::uint64_t span) noexcept override { lineage_parent_ = span; }
 
   /// Optional hook applied to every packet as it enters the link layer
-  /// (Node::link_send_unfiltered, after lineage stamping, before the MAC).
+  /// (Node::transmit, after lineage stamping, before the MAC).
   /// Used by net::attach_sim_codec to round-trip every transmitted packet
   /// through the wire codec, proving sim/wire parity; unset (the default)
   /// costs one branch per send. The hook must be deterministic and must

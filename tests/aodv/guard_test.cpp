@@ -103,7 +103,7 @@ TEST_F(GuardTest, RawRrepsAreSuppressedAtGuardedNodes) {
   packet.size_bytes = RrepMsg::kWireSize;
   packet.body = std::make_shared<RrepMsg>(rrep);
   const double suppressed_before = world_->metrics().counter_value("icc.suppressed_raw");
-  world_->node(2).link_send_unfiltered(std::move(packet), 1);
+  world_->node(2).send_unfiltered(std::move(packet), 1);
   world_->run_until(11.0);
   EXPECT_GT(world_->metrics().counter_value("icc.suppressed_raw"), suppressed_before);
 }

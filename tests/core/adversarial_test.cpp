@@ -50,7 +50,7 @@ class AdversarialTest : public ::testing::Test {
     packet.port = sim::Port::kIvs;
     packet.size_bytes = 64;
     packet.body = std::move(body);
-    attacker_->link_send_unfiltered(std::move(packet), dst);
+    attacker_->send_unfiltered(std::move(packet), dst);
   }
 
   int count_deliveries() {
@@ -195,6 +195,24 @@ TEST_F(AdversarialTest, EmbeddedAgreedBytesVerifyAndRejectTampering) {
   tampered[tampered.size() / 2] ^= 0x01;
   EXPECT_FALSE(circles_[5]->verify_agreed_bytes(tampered).has_value());
   EXPECT_FALSE(circles_[5]->verify_agreed_bytes(std::vector<std::uint8_t>{1, 2}).has_value());
+}
+
+TEST_F(AdversarialTest, EmbeddedAgreedBytesWithAppendedBytesRejected) {
+  // A genuine agreed message with two bytes appended: the signed prefix
+  // still verifies, but the whole buffer is not an agreed message.
+  std::optional<AgreedMsg> captured;
+  circles_[0]->callbacks().on_agreed = [&](const AgreedMsg& msg, bool is_center) {
+    if (is_center) captured = msg;
+  };
+  circles_[0]->initiate(Value{0x22});
+  world_->run_until(6.0);
+  ASSERT_TRUE(captured.has_value());
+  auto bytes = captured->serialize();
+  ASSERT_TRUE(circles_[5]->verify_agreed_bytes(bytes).has_value());
+  bytes.push_back(0x00);
+  bytes.push_back(0x01);
+  EXPECT_FALSE(AgreedMsg::deserialize(bytes).has_value());
+  EXPECT_FALSE(circles_[5]->verify_agreed_bytes(bytes).has_value());
 }
 
 TEST_F(AdversarialTest, SolicitFloodFromSuspectIsIgnored) {

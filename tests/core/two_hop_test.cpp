@@ -161,7 +161,7 @@ TEST_F(TwoHopTest, OneHopConfigIgnoresTwoHopTraffic) {
   packet.port = sim::Port::kIvs;
   packet.size_bytes = 64;
   packet.body = std::move(propose);
-  world_->node(2).link_send_unfiltered(std::move(packet), sim::kBroadcast);
+  world_->node(2).send_unfiltered(std::move(packet), sim::kBroadcast);
   world_->run_until(8.0);
   // Nodes 0 and 4 never heard it (no relaying at circle_hops=1), and the
   // crafted propose carries no valid center signature anyway.

@@ -276,7 +276,7 @@ TEST_F(InjectionEngineTest, CertainLossBlocksDeliveryAndFillsLedger) {
   plan.channel.push_back(loss);
   InjectionEngine engine{world, plan};
 
-  world.node(0).link_send(data_packet(0, 1), 1);
+  world.node(0).send(data_packet(0, 1), 1);
   world.run_until(1.0);
 
   EXPECT_EQ(received_, 0);
@@ -296,7 +296,7 @@ TEST_F(InjectionEngineTest, LossIsDirectional) {
   plan.channel.push_back(loss);
   InjectionEngine engine{world, plan};
 
-  world.node(0).link_send(data_packet(0, 1), 1);
+  world.node(0).send(data_packet(0, 1), 1);
   world.run_until(1.0);
   // The data frame (0 -> 1) is delivered; only node 1's acks die, so the
   // handler fires despite the asymmetric link (possibly more than once, as
@@ -314,7 +314,7 @@ TEST_F(InjectionEngineTest, CorruptionIsDetectedByTheCrcNotDelivered) {
   plan.channel.push_back(flip);
   InjectionEngine engine{world, plan};
 
-  world.node(0).link_send(data_packet(0, 1), 1);
+  world.node(0).send(data_packet(0, 1), 1);
   world.run_until(1.0);
 
   EXPECT_EQ(received_, 0);
@@ -346,7 +346,7 @@ TEST_F(InjectionEngineTest, SameSeedSameChannelOutcome) {
     InjectionEngine engine{world, plan};
     for (int i = 0; i < 20; ++i) {
       world.sched().schedule_at(0.05 * i, [&world] {
-        world.node(0).link_send(data_packet(0, 1), 1);
+        world.node(0).send(data_packet(0, 1), 1);
       });
     }
     world.run_until(5.0);

@@ -1,6 +1,6 @@
 // In-process tests for the deployment-mode plumbing: SteadyClock timer
 // behavior and UdpHost loopback delivery — unicast dispatch, broadcast,
-// promiscuous overhearing, inbound filters, and malformed-datagram
+// promiscuous overhearing, inbound and outbound filters, and malformed-datagram
 // rejection. The multi-process path is exercised by tools/testnet.
 #include <gtest/gtest.h>
 
@@ -153,6 +153,44 @@ TEST(UdpHostTest, InboundFilterDropsBeforeHandler) {
   for (int i = 0; i < 20; ++i) pump(b, 0.01);
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(b.metrics().counter_value("node.inbound_dropped"), 1.0);
+}
+
+TEST(UdpHostTest, OutboundFilterDropCountsAndSendsNothing) {
+  const std::uint16_t base = test_base_port(7);
+  UdpHost a{{0, 2, base, 1}};
+  UdpHost b{{1, 2, base, 1}};
+  int delivered = 0;
+  b.transport().register_handler(sim::Port::kAodv,
+                                 [&](const sim::Packet&, sim::NodeId) { ++delivered; });
+  a.transport().add_outbound_filter(
+      [](const sim::Packet&, sim::NodeId) { return FilterVerdict::kDrop; });
+  a.transport().send(data_packet(0, 1), 1);
+  for (int i = 0; i < 20; ++i) pump(b, 0.01);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(a.metrics().counter_value("node.outbound_dropped"), 1.0);
+  EXPECT_EQ(a.metrics().counter_value("net.udp.tx_frames"), 0.0);
+  EXPECT_EQ(b.metrics().counter_value("net.udp.rx_frames"), 0.0);
+}
+
+TEST(UdpHostTest, OutboundFilterConsumeSendsAndCountsNothing) {
+  const std::uint16_t base = test_base_port(8);
+  UdpHost a{{0, 2, base, 1}};
+  UdpHost b{{1, 2, base, 1}};
+  int delivered = 0;
+  b.transport().register_handler(sim::Port::kAodv,
+                                 [&](const sim::Packet&, sim::NodeId) { ++delivered; });
+  int consumed = 0;
+  a.transport().add_outbound_filter([&](const sim::Packet&, sim::NodeId) {
+    ++consumed;
+    return FilterVerdict::kConsumed;
+  });
+  a.transport().send(data_packet(0, 1), 1);
+  for (int i = 0; i < 20; ++i) pump(b, 0.01);
+  EXPECT_EQ(consumed, 1);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(a.metrics().counter_value("node.outbound_dropped"), 0.0);
+  EXPECT_EQ(a.metrics().counter_value("net.udp.tx_frames"), 0.0);
+  EXPECT_EQ(b.metrics().counter_value("net.udp.rx_frames"), 0.0);
 }
 
 TEST(UdpHostTest, GarbageDatagramRejectedNotCrashed) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/world.hpp"
 
@@ -57,7 +60,7 @@ class MacMediumTest : public ::testing::Test {
 
 TEST_F(MacMediumTest, BroadcastReachesAllInRange) {
   World& world = build({{0, 0}, {100, 0}, {200, 0}, {600, 0}});
-  world.node(0).link_send(make_packet(0, kBroadcast, 7), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 7), kBroadcast);
   world.run_until(1.0);
   ASSERT_EQ(received_.size(), 2u);  // nodes 1 and 2; node 3 out of range
   for (const Rx& rx : received_) {
@@ -68,7 +71,7 @@ TEST_F(MacMediumTest, BroadcastReachesAllInRange) {
 
 TEST_F(MacMediumTest, UnicastOnlyDeliversToTarget) {
   World& world = build({{0, 0}, {100, 0}, {200, 0}});
-  world.node(0).link_send(make_packet(0, 1, 9), 1);
+  world.node(0).send(make_packet(0, 1, 9), 1);
   world.run_until(1.0);
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].at, 1u);
@@ -76,7 +79,7 @@ TEST_F(MacMediumTest, UnicastOnlyDeliversToTarget) {
 
 TEST_F(MacMediumTest, OutOfRangeNotDelivered) {
   World& world = build({{0, 0}, {900, 0}});
-  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(2.0);
   EXPECT_TRUE(received_.empty());
   EXPECT_GE(world.node(0).mac().unicast_failures(), 1u);
@@ -84,7 +87,7 @@ TEST_F(MacMediumTest, OutOfRangeNotDelivered) {
 
 TEST_F(MacMediumTest, UnicastRetransmitsUntilAcked) {
   World& world = build({{0, 0}, {100, 0}});
-  world.node(0).link_send(make_packet(0, 1, 5), 1);
+  world.node(0).send(make_packet(0, 1, 5), 1);
   world.run_until(1.0);
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(world.node(0).mac().unicast_failures(), 0u);
@@ -101,7 +104,7 @@ TEST_F(MacMediumTest, ManyConcurrentSendersAllDeliverEventually) {
   }
   World& world = build(positions);
   for (NodeId i = 1; i <= 10; ++i) {
-    world.node(i).link_send(make_packet(i, 0, static_cast<int>(i)), 0);
+    world.node(i).send(make_packet(i, 0, static_cast<int>(i)), 0);
   }
   world.run_until(5.0);
   EXPECT_EQ(received_.size(), 10u);
@@ -113,8 +116,8 @@ TEST_F(MacMediumTest, HiddenTerminalsCollide) {
   World& world = build({{0, 0}, {200, 0}, {400, 0}}, 250.0);
   // Make carrier sensing useless for this geometry by using broadcast (no
   // retry) and identical start times.
-  world.node(0).link_send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
-  world.node(2).link_send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
+  world.node(2).send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
   world.run_until(1.0);
   // With the default cs_range factor 2.2 the nodes *can* carrier-sense each
   // other (550 m) — rebuild with factor 1.0 to force the hidden terminal.
@@ -130,8 +133,8 @@ TEST_F(MacMediumTest, HiddenTerminalsCollide) {
       got.push_back(p.body_as<TestPayload>()->value);
     });
   }
-  isolated.node(0).link_send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
-  isolated.node(2).link_send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
+  isolated.node(0).send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
+  isolated.node(2).send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
   isolated.run_until(1.0);
   // Node 1 sits between two colliding hidden terminals: it decodes neither.
   EXPECT_TRUE(got.empty());
@@ -141,19 +144,64 @@ TEST_F(MacMediumTest, HiddenTerminalsCollide) {
 TEST_F(MacMediumTest, DownNodeNeitherSendsNorReceives) {
   World& world = build({{0, 0}, {100, 0}});
   world.node(1).set_down(true);
-  world.node(0).link_send(make_packet(0, kBroadcast, 3), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 3), kBroadcast);
   world.run_until(1.0);
   EXPECT_TRUE(received_.empty());
   world.node(1).set_down(false);
   world.node(1).set_down(true);
-  world.node(1).link_send(make_packet(1, 0, 4), 0);
+  world.node(1).send(make_packet(1, 0, 4), 0);
   world.run_until(2.0);
   EXPECT_TRUE(received_.empty());
 }
 
+TEST_F(MacMediumTest, DownNodeSendBurnsNoUidAndCountsNothing) {
+  World& world = build({{0, 0}, {100, 0}});
+  Node& node = world.node(0);
+  // A dropping outbound filter would count node.outbound_dropped if it ran.
+  node.transport().add_outbound_filter([](const Packet&, NodeId) {
+    return net::FilterVerdict::kDrop;
+  });
+  node.set_down(true);
+  std::vector<std::pair<std::string, double>> before;
+  world.metrics().for_each_counter(
+      [&before](const std::string& name, double v) { before.emplace_back(name, v); });
+  const std::uint64_t uid_before = world.next_packet_uid();
+  node.transport().send(make_packet(0, 1, 1), 1);
+  node.transport().send_unfiltered(make_packet(0, 1, 2), 1);
+  node.transport().send(make_packet(0, kBroadcast, 3), kBroadcast);
+  // A down node returns before stamping: the uid stream did not advance.
+  EXPECT_EQ(world.next_packet_uid(), uid_before + 1);
+  std::vector<std::pair<std::string, double>> after;
+  world.metrics().for_each_counter(
+      [&after](const std::string& name, double v) { after.emplace_back(name, v); });
+  EXPECT_EQ(after, before);
+  world.run_until(1.0);
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(world.medium().frames_sent(), 0u);
+}
+
+TEST_F(MacMediumTest, ExhaustedRetriesReachSendFailedHandlerOnce) {
+  World& world = build({{0, 0}, {900, 0}});  // node 1 out of range: no ack
+  struct Failure {
+    int value;
+    NodeId next_hop;
+  };
+  std::vector<Failure> failures;
+  world.node(0).transport().set_send_failed_handler(
+      [&failures](const Packet& p, NodeId next_hop) {
+        failures.push_back({p.body_as<TestPayload>()->value, next_hop});
+      });
+  world.node(0).transport().send(make_packet(0, 1, 42), 1);
+  world.run_until(2.0);
+  EXPECT_EQ(world.node(0).mac().unicast_failures(), 1u);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].value, 42);
+  EXPECT_EQ(failures[0].next_hop, 1u);
+}
+
 TEST_F(MacMediumTest, TransmissionChargesEnergy) {
   World& world = build({{0, 0}, {100, 0}});
-  world.node(0).link_send(make_packet(0, kBroadcast, 1), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 1), kBroadcast);
   world.run_until(1.0);
   EXPECT_GT(world.node(0).energy().tx_time(), 0.0);
   EXPECT_GT(world.node(1).energy().rx_time(), 0.0);
@@ -172,7 +220,7 @@ TEST_F(MacMediumTest, AirtimeMatchesSizeAndBitrate) {
 TEST_F(MacMediumTest, QueueDrainsInOrder) {
   World& world = build({{0, 0}, {100, 0}});
   for (int i = 0; i < 5; ++i) {
-    world.node(0).link_send(make_packet(0, 1, i), 1);
+    world.node(0).send(make_packet(0, 1, i), 1);
   }
   world.run_until(2.0);
   ASSERT_EQ(received_.size(), 5u);
@@ -182,9 +230,9 @@ TEST_F(MacMediumTest, QueueDrainsInOrder) {
 TEST_F(MacMediumTest, InboundFilterDropSuppressesDelivery) {
   World& world = build({{0, 0}, {100, 0}});
   world.node(1).add_inbound_filter([](const Packet&, NodeId) {
-    return FilterVerdict::kDrop;
+    return net::FilterVerdict::kDrop;
   });
-  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(1.0);
   EXPECT_TRUE(received_.empty());
 }
@@ -194,9 +242,9 @@ TEST_F(MacMediumTest, OutboundFilterConsumeStopsTransmission) {
   int consumed = 0;
   world.node(0).add_outbound_filter([&consumed](const Packet&, NodeId) {
     ++consumed;
-    return FilterVerdict::kConsumed;
+    return net::FilterVerdict::kConsumed;
   });
-  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(1.0);
   EXPECT_EQ(consumed, 1);
   EXPECT_TRUE(received_.empty());
@@ -206,9 +254,9 @@ TEST_F(MacMediumTest, OutboundFilterConsumeStopsTransmission) {
 TEST_F(MacMediumTest, UnfilteredSendBypassesOutboundFilters) {
   World& world = build({{0, 0}, {100, 0}});
   world.node(0).add_outbound_filter([](const Packet&, NodeId) {
-    return FilterVerdict::kDrop;
+    return net::FilterVerdict::kDrop;
   });
-  world.node(0).link_send_unfiltered(make_packet(0, 1, 1), 1);
+  world.node(0).send_unfiltered(make_packet(0, 1, 1), 1);
   world.run_until(1.0);
   EXPECT_EQ(received_.size(), 1u);
 }

@@ -1,11 +1,19 @@
 // Trace subsystem tests: typed event delivery, category mask filtering,
-// zero-sink fast path, and byte-identical JSONL traces for equal seeds.
+// zero-sink fast path, byte-identical JSONL traces for equal seeds, and
+// whole lines from concurrent worlds sharing one trace file.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "aodv/aodv.hpp"
@@ -195,6 +203,73 @@ TEST(TraceDeterminism, SameSeedGivesByteIdenticalJsonl) {
 
 TEST(TraceDeterminism, DifferentSeedsDiverge) {
   EXPECT_NE(traced_chain_run(7), traced_chain_run(8));
+}
+
+// Campaign workers build traced Worlds on concurrent threads, all appending
+// to the one ICC_TRACE_FILE stream. Every line must arrive whole: one JSONL
+// object per emitted event, none torn or interleaved mid-line. The shared
+// stream is flushed only at process exit, so the worlds run in a child.
+TEST(TraceIntegration, ConcurrentWorldsShareOneFileLineByLine) {
+  const std::string path = ::testing::TempDir() + "icc_concurrent_trace_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  const std::string count_path = path + ".count";
+  EXPECT_EXIT(
+      {
+        ::setenv("ICC_TRACE", "all", 1);
+        ::setenv("ICC_TRACE_FILE", path.c_str(), 1);
+        std::atomic<std::size_t> emitted{0};
+        std::vector<std::thread> workers;
+        for (std::uint64_t w = 0; w < 4; ++w) {
+          workers.emplace_back([w, &emitted] {
+            for (std::uint64_t run = 0; run < 3; ++run) {
+              WorldConfig config;
+              config.seed = 100 + 10 * w + run;
+              World world{config};
+              CollectingTraceSink counter;
+              world.tracer().add_sink(&counter);
+              for (const double x : {0.0, 200.0, 400.0}) {
+                world.add_node(std::make_unique<StaticMobility>(Vec2{x, 0}));
+              }
+              std::vector<std::unique_ptr<aodv::Aodv>> agents;
+              for (NodeId i = 0; i < 3; ++i) {
+                agents.push_back(
+                    std::make_unique<aodv::Aodv>(world.node(i), aodv::Aodv::Params{}));
+                traffic::CbrConnection::attach_sink(*agents.back());
+              }
+              traffic::CbrConnection::Params cbr;
+              cbr.start = 0.1;
+              cbr.stop = 10.0;
+              traffic::CbrConnection flow{*agents[0], 2, cbr};
+              world.run_until(10.0);
+              emitted += counter.events().size();
+            }
+          });
+        }
+        for (std::thread& t : workers) t.join();
+        std::ofstream{count_path} << emitted.load() << '\n';
+        std::exit(0);  // exit() flushes the shared trace stream
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  std::size_t emitted = 0;
+  std::ifstream{count_path} >> emitted;
+  EXPECT_GT(emitted, 1000u);
+  // The shape JsonlTraceSink renders: fixed leading keys, then optional
+  // numeric or string fields, one object per line.
+  const std::regex whole_object{
+      R"(\{"t":[0-9]+\.[0-9]{9},"type":"[a-z_]+","cat":"[a-z]+","node":[0-9]+)"
+      R"((,"[a-z]+":([-+.eE0-9]+|"[a-z_]+"))*\})"};
+  std::ifstream in{path};
+  std::size_t lines = 0;
+  std::size_t torn = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++lines;
+    if (!std::regex_match(line, whole_object)) ++torn;
+  }
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(lines, emitted);
+  std::remove(path.c_str());
+  std::remove(count_path.c_str());
 }
 
 TEST(TraceIntegration, InstrumentationIsQuietWhenDisabled) {
